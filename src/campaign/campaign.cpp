@@ -9,10 +9,10 @@
 #include <stdexcept>
 
 #include "core/comm.hpp"
+#include "core/hash.hpp"
 #include "core/parallel.hpp"
 #include "diag/diag.hpp"
 #include "dse/explore.hpp"
-#include "flow/checkpoint.hpp"
 #include "flow/fault.hpp"
 #include "flow/generate.hpp"
 #include "flow/txout.hpp"
@@ -196,15 +196,15 @@ JobRun execute_job(const JobSpec& job, const CampaignOptions& options) {
             return run;
         }
         std::size_t file_count = 0, bytes = 0;
-        std::uint64_t output_hash = flow::CheckpointStore::fnv1a("");
+        std::uint64_t output_hash = core::fnv1a("");
         for (const flow::StrategyResult& sr : result.results)
             for (const flow::GeneratedFile& f : sr.files) {
                 ++file_count;
                 bytes += f.contents.size();
                 output_hash =
-                    flow::CheckpointStore::fnv1a(f.name, output_hash);
+                    core::fnv1a(f.name, output_hash);
                 output_hash =
-                    flow::CheckpointStore::fnv1a(f.contents, output_hash);
+                    core::fnv1a(f.contents, output_hash);
                 files.emplace_back(f.name, f.contents);
             }
         rows.push_back(
@@ -241,7 +241,7 @@ JobRun execute_job(const JobSpec& job, const CampaignOptions& options) {
     tx.commit();
 
     run.entry.status = "ok";
-    run.entry.report_hash = hex16(flow::CheckpointStore::fnv1a(report));
+    run.entry.report_hash = hex16(core::fnv1a(report));
     run.ok = true;
     obs::counter("campaign.jobs_ok").add();
     return run;
@@ -344,7 +344,7 @@ CampaignResult run_campaign(const Manifest& manifest,
                 std::string report = read_file(options.out_dir / "jobs" /
                                                entry.dir / "report.json");
                 if (report.empty() ||
-                    hex16(flow::CheckpointStore::fnv1a(report)) !=
+                    hex16(core::fnv1a(report)) !=
                         entry.report_hash)
                     continue;
             }

@@ -4,8 +4,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/hash.hpp"
 #include "diag/diag.hpp"
-#include "flow/checkpoint.hpp"
 #include "flow/txout.hpp"
 #include "obs/obs.hpp"
 #include "uml/builder.hpp"
@@ -178,7 +178,7 @@ CorpusResult write_corpus(const CorpusOptions& options,
             if (obj->is_thread()) ++info.threads;
         info.channels = channels;
         info.cyclic = i >= options.models - options.feedback_cycles;
-        info.xmi_hash = hex16(flow::CheckpointStore::fnv1a(xmi));
+        info.xmi_hash = hex16(core::fnv1a(xmi));
 
         tx.write(info.file, xmi);
         index_json << "    {\"file\": \"" << diag::json_escape(info.file)

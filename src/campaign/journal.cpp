@@ -7,8 +7,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/hash.hpp"
 #include "diag/diag.hpp"
-#include "flow/checkpoint.hpp"
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
 
@@ -57,7 +57,7 @@ bool parse_line(const std::string& line, JournalEntry& out) {
     std::string tail = line.substr(mark + std::string(kHashSuffix).size());
     if (tail.size() != 16 + 2 || tail.substr(16) != "\"}") return false;
     if (tail.substr(0, 16) !=
-        hex16(flow::CheckpointStore::fnv1a(body)))
+        hex16(core::fnv1a(body)))
         return false;
 
     obs::json::Value doc;
@@ -119,7 +119,7 @@ void Journal::open_for_append(bool truncate) {
 void Journal::append(const JournalEntry& entry) {
     std::string body = serialize_body(entry);
     std::string line = body + kHashSuffix +
-                       hex16(flow::CheckpointStore::fnv1a(body)) + "\"}\n";
+                       hex16(core::fnv1a(body)) + "\"}\n";
     std::lock_guard<std::mutex> lock(mutex_);
     if (fd_ < 0)
         throw std::logic_error("journal append before open_for_append");

@@ -7,7 +7,7 @@
 #include <set>
 #include <sstream>
 
-#include "flow/checkpoint.hpp"
+#include "core/hash.hpp"
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
 #include "sim/backend.hpp"
@@ -78,7 +78,7 @@ std::uint64_t cost_model_fingerprint(const sim::MpsocParams& params) {
           << ";gfifo_cost_per_byte=" << params.gfifo_cost_per_byte
           << ";bus_setup=" << params.bus_setup
           << ";shared_bus=" << (params.shared_bus ? 1 : 0);
-    return flow::CheckpointStore::fnv1a(canon.str());
+    return core::fnv1a(canon.str());
 }
 
 Manifest parse_manifest(const std::string& text,
@@ -135,7 +135,7 @@ Manifest parse_manifest(const std::string& text,
         for (const std::string& b : manifest.backends)
             if (!sim::BackendRegistry::builtins().find(b)) {
                 manifest_error(engine, origin,
-                               "unknown simulation backend '" + b + "'");
+                               sim::unknown_backend_message(b));
                 return manifest;
             }
     }
@@ -288,15 +288,14 @@ std::vector<JobSpec> expand(const Manifest& manifest,
             for (std::size_t ci = 0; ci < manifest.cost_models.size(); ++ci)
                 for (const std::string& backend : manifest.backends) {
                     const CostModel& cm = manifest.cost_models[ci];
-                    std::uint64_t hash =
-                        flow::CheckpointStore::fnv1a(*bytes);
-                    hash = flow::CheckpointStore::fnv1a(stem, hash);
-                    hash = flow::CheckpointStore::fnv1a(strategy, hash);
-                    hash = flow::CheckpointStore::fnv1a(backend, hash);
-                    hash = flow::CheckpointStore::fnv1a(cm.name, hash);
-                    hash = flow::CheckpointStore::fnv1a(
+                    std::uint64_t hash = core::fnv1a(*bytes);
+                    hash = core::fnv1a(stem, hash);
+                    hash = core::fnv1a(strategy, hash);
+                    hash = core::fnv1a(backend, hash);
+                    hash = core::fnv1a(cm.name, hash);
+                    hash = core::fnv1a(
                         hex16(cost_model_fingerprint(cm.params)), hash);
-                    hash = flow::CheckpointStore::fnv1a(options_canon, hash);
+                    hash = core::fnv1a(options_canon, hash);
                     JobSpec job;
                     job.id = hex16(hash);
                     job.dir = stem + "__" + strategy + "__" +

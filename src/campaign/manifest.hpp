@@ -21,7 +21,7 @@
 //     "schema": "uhcg-campaign-v1",
 //     "models": ["corpus", "models/crane.xmi"],
 //     "strategies": ["generate", "explore"],
-//     "backends": ["dynamic-fifo", "sdf"],
+//     "backends": ["dynamic-fifo", "analytic"],
 //     "cost_models": [{"name": "default"},
 //                     {"name": "slow-bus", "gfifo_cost_per_byte": 40}],
 //     "explore": {"max_processors": 4, "random_samples": 3},

@@ -84,9 +84,6 @@ inline constexpr const char* kDseModel = "dse.model";
 inline constexpr const char* kSimDeadlock = "sim.deadlock";
 inline constexpr const char* kSimWatchdog = "sim.watchdog";
 inline constexpr const char* kSimStructure = "sim.structure";
-// Simulation backends (sim/backend.hpp): a backend that cannot honour its
-// own semantics (sdf on a multirate graph) pricing through dynamic-fifo.
-inline constexpr const char* kSimBackendFallback = "sim.backend-fallback";
 inline constexpr const char* kKpnReadBlocked = "kpn.read-blocked";
 inline constexpr const char* kKpnWatchdog = "kpn.watchdog";
 // Flow layer: pass manager + strategy dispatch

@@ -1,7 +1,6 @@
 #include "dse/explore.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -9,11 +8,11 @@
 #include <memory>
 #include <mutex>
 #include <sstream>
-#include <string_view>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
 
+#include "core/hash.hpp"
 #include "core/parallel.hpp"
 #include "obs/obs.hpp"
 #include "sim/backend.hpp"
@@ -26,53 +25,31 @@ namespace uhcg::dse {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Fingerprints. 64-bit FNV-1a over canonical byte streams; the clustering
-// fingerprint renumbers cluster ids by first appearance so strategy-specific
-// labelings of the same partition collide.
+// Fingerprints: core::fnv1a from the DSE seed over canonical field streams;
+// the clustering fingerprint renumbers cluster ids by first appearance so
+// strategy-specific labelings of the same partition collide.
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t fnv1a(std::uint64_t hash, std::uint64_t value) {
-    for (int byte = 0; byte < 8; ++byte) {
-        hash ^= (value >> (byte * 8)) & 0xffu;
-        hash *= kFnvPrime;
-    }
-    return hash;
-}
-
-std::uint64_t fnv1a(std::uint64_t hash, double value) {
-    return fnv1a(hash, std::bit_cast<std::uint64_t>(value));
-}
-
-std::uint64_t fnv1a(std::uint64_t hash, std::string_view text) {
-    for (unsigned char byte : text) {
-        hash ^= byte;
-        hash *= kFnvPrime;
-    }
-    return hash;
-}
+using core::fnv1a_f64;
+using core::fnv1a_u64;
 
 std::uint64_t graph_fingerprint(const taskgraph::TaskGraph& graph) {
-    std::uint64_t h = fnv1a(kFnvOffset, graph.task_count());
+    std::uint64_t h = fnv1a_u64(graph.task_count(), core::kDseFnvOffset);
     for (std::size_t t = 0; t < graph.task_count(); ++t)
-        h = fnv1a(h, graph.weight(t));
+        h = fnv1a_f64(graph.weight(t), h);
     for (const taskgraph::Edge& e : graph.edges()) {
-        h = fnv1a(h, e.from);
-        h = fnv1a(h, e.to);
-        h = fnv1a(h, e.cost);
-        h = fnv1a(h, static_cast<std::uint64_t>(e.produce));
-        h = fnv1a(h, static_cast<std::uint64_t>(e.consume));
+        h = fnv1a_u64(e.from, h);
+        h = fnv1a_u64(e.to, h);
+        h = fnv1a_f64(e.cost, h);
     }
     return h;
 }
 
 std::uint64_t params_fingerprint(const sim::MpsocParams& p) {
-    std::uint64_t h = fnv1a(kFnvOffset, p.cycles_per_work);
-    h = fnv1a(h, p.swfifo_cost_per_byte);
-    h = fnv1a(h, p.gfifo_cost_per_byte);
-    h = fnv1a(h, p.bus_setup);
-    return fnv1a(h, static_cast<std::uint64_t>(p.shared_bus));
+    std::uint64_t h = fnv1a_f64(p.cycles_per_work, core::kDseFnvOffset);
+    h = fnv1a_f64(p.swfifo_cost_per_byte, h);
+    h = fnv1a_f64(p.gfifo_cost_per_byte, h);
+    h = fnv1a_f64(p.bus_setup, h);
+    return fnv1a_u64(p.shared_bus, h);
 }
 
 // ---------------------------------------------------------------------------
@@ -84,18 +61,18 @@ struct CacheKey {
     std::uint64_t graph = 0;
     std::uint64_t clustering = 0;
     std::uint64_t params = 0;
-    /// Fingerprint of the *effective* backend name, so inexact backends
-    /// never alias exact entries. A fallback compiles to dynamic-fifo and
-    /// deliberately shares its entries — it runs the same engine.
+    /// Fingerprint of the backend name, so inexact (analytic) bounds never
+    /// alias exact entries.
     std::uint64_t backend = 0;
     bool operator==(const CacheKey&) const = default;
 };
 
 struct CacheKeyHash {
     std::size_t operator()(const CacheKey& k) const {
-        return static_cast<std::size_t>(fnv1a(
-            fnv1a(fnv1a(fnv1a(kFnvOffset, k.graph), k.clustering), k.params),
-            k.backend));
+        std::uint64_t h = fnv1a_u64(k.graph, core::kDseFnvOffset);
+        h = fnv1a_u64(k.clustering, h);
+        h = fnv1a_u64(k.params, h);
+        return static_cast<std::size_t>(fnv1a_u64(k.backend, h));
     }
 };
 
@@ -201,20 +178,20 @@ void fill_metrics(Candidate& c, const sim::MpsocResult& r) {
 std::uint64_t clustering_fingerprint(const taskgraph::Clustering& clustering) {
     std::vector<int> canon(clustering.task_count(), -1);
     int next_id = 0;
-    std::uint64_t h = fnv1a(kFnvOffset, clustering.task_count());
+    std::uint64_t h = fnv1a_u64(clustering.task_count(), core::kDseFnvOffset);
     for (std::size_t t = 0; t < clustering.task_count(); ++t) {
         int cluster = clustering.cluster_of(t);
         // Renumber by first appearance: label-invariant identity.
         int& dense = canon[static_cast<std::size_t>(cluster)];
         if (dense < 0) dense = next_id++;
-        h = fnv1a(h, static_cast<std::uint64_t>(dense));
+        h = fnv1a_u64(static_cast<std::uint64_t>(dense), h);
     }
     return h;
 }
 
 ExploreResult explore(const uml::Model& model, const core::CommModel& comm,
                       const ExploreOptions& options,
-                      diag::DiagnosticEngine* engine) {
+                      diag::DiagnosticEngine*) {
     obs::ObsSpan explore_span("dse.explore");
     const sim::Backend& backend = sim::backend_or_throw(options.backend);
     explore_span.annotate("sim.backend", backend.name());
@@ -223,7 +200,6 @@ ExploreResult explore(const uml::Model& model, const core::CommModel& comm,
 
     ExploreResult result;
     result.stats.backend = std::string(backend.name());
-    result.stats.effective_backend = result.stats.backend;
     if (n == 0) return result;
     const std::size_t max_cpus = options.max_processors == 0
                                      ? n
@@ -288,20 +264,18 @@ ExploreResult explore(const uml::Model& model, const core::CommModel& comm,
     }
 
     // 4. Compile the graph on the requested backend (the per-(graph,
-    //    params) precomputation, shared read-only by every worker; an sdf
-    //    request on non-static rates falls back to dynamic-fifo here,
-    //    reporting into `engine`), probe the memo cache per unique
-    //    clustering, then fan the surviving evaluations out across the
-    //    pool in *chunks*: each chunk mints one BackendEvaluator (partial
-    //    caches, schedule-prefix reuse between consecutive candidates), so
-    //    a pool task amortizes dispatch over `chunk` candidates.
+    //    params) precomputation, shared read-only by every worker), probe
+    //    the memo cache per unique clustering, then fan the surviving
+    //    evaluations out across the pool in *chunks*: each chunk mints one
+    //    BackendEvaluator (schedule-prefix reuse between consecutive
+    //    candidates), so a pool task amortizes dispatch over `chunk`
+    //    candidates.
     std::unique_ptr<sim::CompiledModel> compiled =
-        backend.compile(graph, options.cost_model, engine);
-    result.stats.effective_backend = std::string(compiled->effective_backend());
+        backend.compile(graph, options.cost_model);
     const std::uint64_t graph_fp = graph_fingerprint(graph);
     const std::uint64_t params_fp = params_fingerprint(options.cost_model);
     const std::uint64_t backend_fp =
-        fnv1a(kFnvOffset, compiled->effective_backend());
+        core::fnv1a(backend.name(), core::kDseFnvOffset);
     std::vector<sim::MpsocResult> unique_results(unique_index.size());
     std::vector<std::size_t> to_simulate;
     to_simulate.reserve(unique_index.size());
@@ -313,7 +287,7 @@ ExploreResult explore(const uml::Model& model, const core::CommModel& comm,
     }
     // Locality order: neighbors (same strategy, adjacent budgets) differ by
     // few task moves, so placing them consecutively in a chunk maximizes
-    // partial/prefix reuse. Purely an evaluation order — results land in
+    // prefix reuse. Purely an evaluation order — results land in
     // fixed slots, so rankings stay byte-identical to the exhaustive path.
     std::vector<std::size_t> sim_order = to_simulate;
     std::sort(sim_order.begin(), sim_order.end(),
@@ -333,13 +307,12 @@ ExploreResult explore(const uml::Model& model, const core::CommModel& comm,
     std::vector<sim::BatchStats> chunk_stats(num_chunks);
     {
         obs::ObsSpan span("dse.simulate-sweep");
-        span.annotate("sim.backend", compiled->effective_backend());
+        span.annotate("sim.backend", backend.name());
         core::parallel_for_chunked(
             sim_order.size(), jobs, chunk,
             [&](std::size_t begin, std::size_t end) {
                 obs::ObsSpan chunk_span("sim.mpsoc-batch");
-                chunk_span.annotate("sim.backend",
-                                    compiled->effective_backend());
+                chunk_span.annotate("sim.backend", backend.name());
                 std::unique_ptr<sim::BackendEvaluator> evaluator =
                     compiled->evaluator();
                 for (std::size_t t = begin; t < end; ++t) {
@@ -357,14 +330,9 @@ ExploreResult explore(const uml::Model& model, const core::CommModel& comm,
 
     // Optional oracle check: re-price every unique clustering on a fresh,
     // chain-free evaluator of the same compiled model and require bitwise
-    // equality on every metric. For an exact non-default backend the
-    // makespan is additionally cross-checked bitwise against the
-    // dynamic-fifo reference engine — the backend-equivalence contract.
+    // equality on every metric.
     if (options.verify_full) {
         obs::ObsSpan span("dse.verify-full");
-        const bool cross_check =
-            compiled->exact() &&
-            compiled->effective_backend() != sim::kDefaultBackend;
         core::parallel_for(unique_index.size(), jobs, [&](std::size_t slot) {
             sim::MpsocResult fresh =
                 compiled->evaluator()->evaluate(
@@ -381,17 +349,6 @@ ExploreResult explore(const uml::Model& model, const core::CommModel& comm,
                     "dse verify-full: incremental metrics diverge from full "
                     "re-simulation (strategy " +
                     plan[unique_index[slot]].strategy + ")");
-            if (cross_check) {
-                sim::MpsocResult reference = sim::simulate_mpsoc(
-                    graph, clusterings[unique_index[slot]],
-                    options.cost_model);
-                if (reference.makespan != inc.makespan)
-                    throw std::logic_error(
-                        "dse verify-full: backend '" +
-                        std::string(compiled->effective_backend()) +
-                        "' makespan diverges from dynamic-fifo (strategy " +
-                        plan[unique_index[slot]].strategy + ")");
-            }
         });
         result.stats.verified = unique_index.size();
     }
@@ -415,15 +372,12 @@ ExploreResult explore(const uml::Model& model, const core::CommModel& comm,
     result.stats.cache_hits = unique_index.size() - to_simulate.size();
     result.stats.jobs = jobs;
     result.stats.chunks = num_chunks;
-    for (const sim::BatchStats& s : chunk_stats) {
-        result.stats.partial_reuse += s.partials_reused;
+    for (const sim::BatchStats& s : chunk_stats)
         result.stats.prefix_tasks_reused += s.prefix_tasks_reused;
-    }
     obs::counter("dse.candidates").add(result.stats.candidates);
     obs::counter("dse.cache_hits").add(result.stats.cache_hits);
     obs::counter("dse.simulations").add(result.stats.simulations);
     obs::counter("dse.duplicates_skipped").add(result.stats.duplicates_skipped);
-    obs::counter("dse.partial_reuse").add(result.stats.partial_reuse);
     obs::counter("dse.prefix_reuse").add(result.stats.prefix_tasks_reused);
     obs::counter("dse.chunks").add(result.stats.chunks);
     if (result.stats.verified)

@@ -13,8 +13,8 @@
 // Scaling (the ROADMAP north-star): the sweep is embarrassingly parallel,
 // so `explore` fans candidate evaluation out on `core::parallel_for_chunked`
 // (`ExploreOptions::jobs`/`chunk_size`) — each chunk owns a
-// `sim::MpsocBatch` that reuses per-cluster partial costs and schedule
-// prefixes across the locality-ordered candidates it evaluates —
+// `sim::MpsocBatch` that resumes the timed scan from the schedule prefix
+// shared with the previous locality-ordered candidate it evaluated —
 // deduplicates identical clusterings through a canonical fingerprint
 // *before* paying for simulation, and memoizes results in a process-wide
 // thread-safe cache keyed by (graph, clustering fingerprint, cost-model
@@ -69,9 +69,7 @@ struct ExploreOptions {
     std::size_t chunk_size = 0;
     /// Debug: after the incremental sweep, re-simulate every unique
     /// clustering from scratch and throw std::logic_error on any metric
-    /// divergence (the --dse-verify-full mode). For an exact non-default
-    /// backend (sdf on a static-rate graph) this additionally cross-checks
-    /// every makespan bitwise against the dynamic-fifo engine.
+    /// divergence (the --dse-verify-full mode).
     bool verify_full = false;
     /// Simulation backend pricing the sweep (sim/backend.hpp); empty =
     /// sim::kDefaultBackend. Unknown names throw std::invalid_argument.
@@ -89,15 +87,17 @@ struct ExploreStats {
     std::size_t cache_hits = 0;          ///< served by the cross-run cache
     std::size_t simulations = 0;         ///< cost evaluations actually executed
     std::size_t jobs = 1;                ///< workers used for the fan-out
-    // Incremental-evaluation accounting (see sim::MpsocBatch). All three
+    // Incremental-evaluation accounting (see sim::MpsocBatch). Both
     // depend only on the candidate set and chunk size — never on jobs or
     // the machine — so they are exact determinism counters.
-    std::size_t partial_reuse = 0;        ///< per-cluster partials served cached
     std::size_t prefix_tasks_reused = 0;  ///< schedule positions replayed
     std::size_t chunks = 0;               ///< pool tasks in the simulate sweep
+    /// Always 0: the per-cluster partial cache it counted is gone. Kept
+    /// only because the benchmark harness still reads it; the next change
+    /// to the benchmark removes it.
+    std::size_t partial_reuse = 0;
     std::size_t verified = 0;  ///< clusterings re-checked by verify_full
-    std::string backend;            ///< backend requested (resolved default)
-    std::string effective_backend;  ///< backend that actually priced the sweep
+    std::string backend;       ///< backend that priced the sweep
 };
 
 struct ExploreResult {
@@ -111,9 +111,10 @@ struct ExploreResult {
 
 /// Explores mappings for `model`. The task graph is mined once from the
 /// sequence diagrams; every *unique* candidate is estimated on the cost
-/// model (duplicates and cache hits are free — see ExploreStats). A
-/// backend falling back (sdf on a multirate graph) reports its
-/// `sim.backend-fallback` warning into `engine` when one is given.
+/// model (duplicates and cache hits are free — see ExploreStats). An
+/// unknown `options.backend` throws std::invalid_argument listing the
+/// registered backends. Nothing is reported into `engine`; the parameter
+/// stays for existing callers.
 ExploreResult explore(const uml::Model& model, const core::CommModel& comm,
                       const ExploreOptions& options = {},
                       diag::DiagnosticEngine* engine = nullptr);

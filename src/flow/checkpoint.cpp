@@ -6,6 +6,7 @@
 #include <sstream>
 #include <vector>
 
+#include "core/hash.hpp"
 #include "flow/txout.hpp"
 #include "obs/obs.hpp"
 
@@ -44,28 +45,19 @@ CheckpointStore::CheckpointStore(fs::path dir) : dir_(std::move(dir)) {
     // Failure surfaces on save(); load() just misses.
 }
 
-std::uint64_t CheckpointStore::fnv1a(std::string_view bytes,
-                                     std::uint64_t hash) {
-    for (unsigned char c : bytes) {
-        hash ^= c;
-        hash *= 1099511628211ULL;
-    }
-    return hash;
-}
-
 std::string CheckpointStore::key(std::string_view model_bytes,
                                  std::string_view options_fingerprint,
                                  std::string_view strategy,
                                  std::string_view subsystem) {
     // Chain the fields through one running hash, separated so that the
     // concatenation of two fields can't collide with a shifted split.
-    std::uint64_t h = fnv1a(model_bytes);
-    h = fnv1a("|", h);
-    h = fnv1a(options_fingerprint, h);
-    h = fnv1a("|", h);
-    h = fnv1a(strategy, h);
-    h = fnv1a("|", h);
-    h = fnv1a(subsystem, h);
+    std::uint64_t h = core::fnv1a(model_bytes);
+    h = core::fnv1a("|", h);
+    h = core::fnv1a(options_fingerprint, h);
+    h = core::fnv1a("|", h);
+    h = core::fnv1a(strategy, h);
+    h = core::fnv1a("|", h);
+    h = core::fnv1a(subsystem, h);
     std::ostringstream out;
     out << std::hex << h;
     return std::string(strategy) + "-" + std::string(subsystem) + "-" +

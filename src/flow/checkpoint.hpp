@@ -27,10 +27,6 @@ public:
 
     const std::filesystem::path& dir() const { return dir_; }
 
-    /// FNV-1a 64-bit, the repo's standard fingerprint primitive.
-    static std::uint64_t fnv1a(std::string_view bytes,
-                               std::uint64_t hash = 14695981039346656037ULL);
-
     /// Content-hash key of one generate unit. Any change to the model
     /// bytes, the options fingerprint, or the routing changes the key.
     static std::string key(std::string_view model_bytes,

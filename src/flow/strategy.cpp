@@ -141,8 +141,7 @@ void register_schedulability_probe(PassManager& pm, std::size_t sim_steps) {
 /// simulation backend (sim/backend.hpp) — the §4.2.3 estimate surfaced as
 /// trace counters from `uhcg generate`, without failing the strategy: a
 /// model the cost model cannot price (no threads, detached subsystem) just
-/// counts `estimate-skipped`. Backend fallbacks (sdf on a multirate graph)
-/// land in the diagnostics as the usual sim.backend-fallback warning.
+/// counts `estimate-skipped`, and so does an unknown backend name.
 void register_estimate_pass(PassManager& pm, std::string backend) {
     pm.add(Pass("sim.estimate",
                 [backend = std::move(backend)](PassContext& ctx) {
@@ -164,7 +163,7 @@ void register_estimate_pass(PassManager& pm, std::string backend) {
                         sim::MpsocResult estimate = sim::simulate_backend(
                             graph, taskgraph::Clustering::from_assignment(
                                        std::move(assignment)),
-                            {}, backend, &ctx.diags());
+                            {}, backend);
                         ctx.count("estimate-cpus", estimate.cpu_busy.size());
                         ctx.count("estimate-makespan",
                                   static_cast<std::size_t>(estimate.makespan));

@@ -3,7 +3,7 @@
 #include <sstream>
 #include <utility>
 
-#include "flow/checkpoint.hpp"
+#include "core/hash.hpp"
 #include "obs/obs.hpp"
 #include "uml/xmi.hpp"
 
@@ -34,7 +34,7 @@ ModelCache::ModelCache(std::size_t budget_bytes)
 
 std::string ModelCache::hash_bytes(std::string_view bytes) {
     std::ostringstream out;
-    out << std::hex << flow::CheckpointStore::fnv1a(bytes);
+    out << std::hex << core::fnv1a(bytes);
     return out.str();
 }
 

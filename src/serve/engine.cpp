@@ -280,7 +280,7 @@ std::string Engine::dispatch(const std::string& id, const std::string& method,
                << ",\"hits\":" << cache.hits << ",\"misses\":" << cache.misses
                << ",\"evictions\":" << cache.evictions << "}";
         // Explore reuse, server-side: memo hits say a request ran warm,
-        // partial reuse says a cold sweep was still incremental. Always
+        // prefix reuse says a cold sweep was still incremental. Always
         // present (zeros before the first explore) so dashboards need no
         // schema branch.
         {
@@ -288,12 +288,10 @@ std::string Engine::dispatch(const std::string& id, const std::string& method,
             result << ",\"dse\":{\"explores\":" << dse_totals_.explores
                    << ",\"total\":{\"simulations\":" << dse_totals_.simulations
                    << ",\"cache_hits\":" << dse_totals_.cache_hits
-                   << ",\"partial_reuse\":" << dse_totals_.partial_reuse
                    << ",\"prefix_tasks_reused\":"
                    << dse_totals_.prefix_tasks_reused
                    << "},\"last\":{\"simulations\":" << dse_last_.simulations
                    << ",\"cache_hits\":" << dse_last_.cache_hits
-                   << ",\"partial_reuse\":" << dse_last_.partial_reuse
                    << ",\"prefix_tasks_reused\":"
                    << dse_last_.prefix_tasks_reused
                    << ",\"backend\":" << quote(dse_last_.backend)
@@ -482,16 +480,12 @@ std::string Engine::dispatch(const std::string& id, const std::string& method,
         options.verify_full = param_bool(doc, "verify_full", false);
         options.backend = param_string(doc, "backend");
         if (!sim::find_backend(options.backend))
-            return error_response(id, "serve.bad-request",
-                                  "unknown simulation backend '" +
-                                      options.backend +
-                                      "' (want dynamic-fifo, analytic or "
-                                      "sdf)");
+            return error_response(
+                id, "serve.bad-request",
+                sim::unknown_backend_message(options.backend));
         dse::ExploreResult result;
-        diag::DiagnosticEngine explore_diags;
         try {
-            result = dse::explore(resident->model, resident->comm, options,
-                                  &explore_diags);
+            result = dse::explore(resident->model, resident->comm, options);
         } catch (const std::exception& e) {
             return error_response(
                 id, "serve.bad-model",
@@ -516,31 +510,23 @@ std::string Engine::dispatch(const std::string& id, const std::string& method,
         r << "],\"stats\":{\"simulations\":" << result.stats.simulations
           << ",\"cache_hits\":" << result.stats.cache_hits
           << ",\"duplicates_skipped\":" << result.stats.duplicates_skipped
-          << ",\"partial_reuse\":" << result.stats.partial_reuse
           << ",\"prefix_tasks_reused\":" << result.stats.prefix_tasks_reused
           << ",\"chunks\":" << result.stats.chunks
           << ",\"verified\":" << result.stats.verified
           << ",\"jobs\":" << result.stats.jobs
-          << ",\"backend\":" << quote(result.stats.backend)
-          << ",\"effective_backend\":"
-          << quote(result.stats.effective_backend);
-        if (explore_diags.count_code(diag::codes::kSimBackendFallback))
-            r << ",\"backend_fallback\":true";
-        r << "}}";
+          << ",\"backend\":" << quote(result.stats.backend) << "}}";
         {
             std::lock_guard<std::mutex> lock(dse_mutex_);
             dse_last_ = DseActivity{0, result.stats.simulations,
                                     result.stats.cache_hits,
-                                    result.stats.partial_reuse,
                                     result.stats.prefix_tasks_reused,
-                                    result.stats.effective_backend};
+                                    result.stats.backend};
             ++dse_totals_.explores;
             dse_totals_.simulations += result.stats.simulations;
             dse_totals_.cache_hits += result.stats.cache_hits;
-            dse_totals_.partial_reuse += result.stats.partial_reuse;
             dse_totals_.prefix_tasks_reused +=
                 result.stats.prefix_tasks_reused;
-            ++dse_by_backend_[result.stats.effective_backend];
+            ++dse_by_backend_[result.stats.backend];
         }
         return finish(ok_head(cache_state, resident->hash), r.str());
     }
@@ -554,22 +540,18 @@ std::string Engine::dispatch(const std::string& id, const std::string& method,
     std::size_t max_processors =
         static_cast<std::size_t>(param_number(doc, "max_processors", 0));
     std::string backend = param_string(doc, "backend");
-    if (!sim::find_backend(backend))
+    const sim::Backend* pricing = sim::find_backend(backend);
+    if (!pricing)
         return error_response(id, "serve.bad-request",
-                              "unknown simulation backend '" + backend +
-                                  "' (want dynamic-fifo, analytic or sdf)");
+                              sim::unknown_backend_message(backend));
     sim::MpsocResult sim_result;
-    std::string effective_backend;
-    diag::DiagnosticEngine sim_diags;
     try {
         taskgraph::TaskGraph graph =
             core::build_task_graph(resident->model, resident->comm);
         taskgraph::Clustering clustering = core::auto_clustering(
             resident->model, resident->comm, max_processors);
-        std::unique_ptr<sim::CompiledModel> compiled =
-            sim::backend_or_throw(backend).compile(graph, params, &sim_diags);
-        effective_backend = compiled->effective_backend();
-        sim_result = compiled->evaluator()->evaluate(clustering);
+        sim_result =
+            pricing->compile(graph, params)->evaluator()->evaluate(clustering);
     } catch (const std::exception& e) {
         // A model the simulator cannot schedule (e.g. a feedback cycle in
         // the task graph) is an input property, not an internal error —
@@ -585,10 +567,7 @@ std::string Engine::dispatch(const std::string& id, const std::string& method,
       << ",\"intra_traffic\":" << number_text(sim_result.intra_traffic)
       << ",\"bus_transfers\":" << sim_result.bus_transfers
       << ",\"processors\":" << sim_result.cpu_busy.size()
-      << ",\"backend\":" << quote(effective_backend);
-    if (sim_diags.count_code(diag::codes::kSimBackendFallback))
-        r << ",\"backend_fallback\":true";
-    r << "}";
+      << ",\"backend\":" << quote(pricing->name()) << "}";
     return finish(ok_head(cache_state, resident->hash), r.str());
 }
 

@@ -143,24 +143,23 @@ private:
 
     /// Per-explore reuse accounting (plain integers mirroring
     /// dse::ExploreStats) so `status` can show whether explore requests
-    /// run warm (memo hits) or cold-but-incremental (partial reuse)
+    /// run warm (memo hits) or cold-but-incremental (prefix reuse)
     /// server-side. `totals` accumulate over the process; `last` is the
     /// most recent explore request.
     struct DseActivity {
         std::uint64_t explores = 0;
         std::uint64_t simulations = 0;
         std::uint64_t cache_hits = 0;
-        std::uint64_t partial_reuse = 0;
         std::uint64_t prefix_tasks_reused = 0;
-        /// Effective simulation backend of the most recent explore (only
-        /// meaningful on `last`; empty before the first request).
+        /// Simulation backend of the most recent explore (only meaningful
+        /// on `last`; empty before the first request).
         std::string backend;
     };
     mutable std::mutex dse_mutex_;
     DseActivity dse_totals_;
     DseActivity dse_last_;
-    /// Explore count per *effective* simulation backend, for the status
-    /// rollup — shows whether clients actually exercise sdf/analytic.
+    /// Explore count per simulation backend, for the status rollup —
+    /// shows whether clients actually exercise analytic.
     std::map<std::string, std::uint64_t> dse_by_backend_;
 };
 

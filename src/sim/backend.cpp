@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "obs/obs.hpp"
-#include "sim/sdf.hpp"
 
 namespace uhcg::sim {
 
@@ -16,73 +15,7 @@ using taskgraph::TaskIndex;
 namespace {
 
 // ---------------------------------------------------------------------------
-// Shared per-candidate scratch: canonical dense labels + member lists, the
-// exact renumbering MpsocBatch performs (first-appearance order by task
-// index), so every backend agrees on cluster numbering and cpu_busy order.
-
-struct CanonicalScratch {
-    std::vector<int> canon;    ///< task → dense canonical cluster id
-    std::vector<int> dense;    ///< raw cluster id → canonical id
-    std::vector<std::vector<TaskIndex>> members;
-    int clusters = 0;
-
-    void build(const Clustering& clustering, std::size_t n) {
-        if (n != clustering.task_count())
-            throw std::invalid_argument(
-                "clustering does not match graph size");
-        canon.assign(n, -1);
-        int max_raw = -1;
-        for (TaskIndex t = 0; t < n; ++t)
-            max_raw = std::max(max_raw, clustering.cluster_of(t));
-        dense.assign(static_cast<std::size_t>(max_raw + 1), -1);
-        int k = 0;
-        for (TaskIndex t = 0; t < n; ++t) {
-            int& label = dense[static_cast<std::size_t>(clustering.cluster_of(t))];
-            if (label < 0) label = k++;
-            canon[t] = label;
-        }
-        clusters = k;
-        members.resize(static_cast<std::size_t>(k));
-        for (auto& m : members) m.clear();
-        for (TaskIndex t = 0; t < n; ++t)
-            members[static_cast<std::size_t>(canon[t])].push_back(t);
-    }
-};
-
-/// Per-cluster aggregates accumulated exactly like MpsocBatch: per-cluster
-/// locals summed member-ascending, then added to the result in canonical
-/// cluster order — the one deterministic FP summation order both the
-/// dynamic engine and the exact backends share.
-void accumulate_aggregates(const MpsocPrep& prep, const CanonicalScratch& s,
-                           MpsocResult& result) {
-    const TaskGraph& graph = prep.graph();
-    result.cpu_busy.assign(static_cast<std::size_t>(s.clusters), 0.0);
-    for (int ci = 0; ci < s.clusters; ++ci) {
-        double work = 0.0, internal_cost = 0.0, cut_cost = 0.0, cut_bus = 0.0;
-        std::size_t cut_edges = 0;
-        for (TaskIndex t : s.members[static_cast<std::size_t>(ci)]) {
-            work += prep.work()[t];
-            for (std::size_t e : graph.out_edges(t)) {
-                const Edge& edge = graph.edge(e);
-                if (s.canon[edge.to] == ci) {
-                    internal_cost += edge.cost;
-                } else {
-                    cut_cost += edge.cost;
-                    cut_bus += prep.bus_duration()[e];
-                    ++cut_edges;
-                }
-            }
-        }
-        result.cpu_busy[static_cast<std::size_t>(ci)] = work;
-        result.intra_traffic += internal_cost;
-        result.inter_traffic += cut_cost;
-        result.bus_busy += cut_bus;
-        result.bus_transfers += cut_edges;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// dynamic-fifo: the reference engine, wrapped.
+// dynamic-fifo: the exact engine, wrapped.
 
 class DynamicFifoEvaluator final : public BackendEvaluator {
 public:
@@ -95,35 +28,6 @@ public:
 
 private:
     MpsocBatch batch_;
-};
-
-class DynamicFifoCompiled final : public CompiledModel {
-public:
-    DynamicFifoCompiled(const TaskGraph& graph, const MpsocParams& params)
-        : prep_(graph, params) {}
-    std::string_view effective_backend() const override {
-        return kDefaultBackend;
-    }
-    bool exact() const override { return true; }
-    std::unique_ptr<BackendEvaluator> evaluator() const override {
-        return std::make_unique<DynamicFifoEvaluator>(prep_);
-    }
-
-private:
-    MpsocPrep prep_;
-};
-
-class DynamicFifoBackend final : public Backend {
-public:
-    std::string_view name() const override { return kDefaultBackend; }
-    std::string_view description() const override {
-        return "event-driven dynamic-FIFO engine (reference semantics)";
-    }
-    std::unique_ptr<CompiledModel> compile(
-        const TaskGraph& graph, const MpsocParams& params,
-        diag::DiagnosticEngine*) const override {
-        return std::make_unique<DynamicFifoCompiled>(graph, params);
-    }
 };
 
 // ---------------------------------------------------------------------------
@@ -140,18 +44,16 @@ public:
         static obs::Counter& evals = obs::counter("sim.analytic_evals");
         evals.add(1);
         const TaskGraph& graph = prep_.graph();
-        const std::size_t n = graph.task_count();
-        scratch_.build(clustering, n);
-        MpsocResult result;
-        accumulate_aggregates(prep_, scratch_, result);
+        MpsocResult result = clusters_.aggregate(prep_, clustering);
+        const std::vector<int>& canon = clusters_.labels();
 
         // Path bound: earliest finish ignoring CPU and bus contention.
-        finish_.assign(n, 0.0);
+        finish_.assign(graph.task_count(), 0.0);
         for (TaskIndex t : prep_.topo()) {
             double ready = 0.0;
             for (std::size_t e : graph.in_edges(t)) {
                 const Edge& edge = graph.edge(e);
-                double delay = scratch_.canon[edge.from] == scratch_.canon[t]
+                double delay = canon[edge.from] == canon[t]
                                    ? prep_.sw_delay()[e]
                                    : prep_.bus_duration()[e];
                 ready = std::max(ready, finish_[edge.from] + delay);
@@ -170,191 +72,42 @@ public:
 
 private:
     const MpsocPrep& prep_;
-    CanonicalScratch scratch_;
+    CanonicalClustering clusters_;
     std::vector<double> finish_;
-};
-
-class AnalyticCompiled final : public CompiledModel {
-public:
-    AnalyticCompiled(const TaskGraph& graph, const MpsocParams& params)
-        : prep_(graph, params) {}
-    std::string_view effective_backend() const override { return "analytic"; }
-    bool exact() const override { return false; }
-    std::unique_ptr<BackendEvaluator> evaluator() const override {
-        return std::make_unique<AnalyticEvaluator>(prep_);
-    }
-
-private:
-    MpsocPrep prep_;
-};
-
-class AnalyticBackend final : public Backend {
-public:
-    std::string_view name() const override { return "analytic"; }
-    std::string_view description() const override {
-        return "closed-form critical-path/contention lower bound (inexact)";
-    }
-    std::unique_ptr<CompiledModel> compile(
-        const TaskGraph& graph, const MpsocParams& params,
-        diag::DiagnosticEngine*) const override {
-        return std::make_unique<AnalyticCompiled>(graph, params);
-    }
 };
 
 // ---------------------------------------------------------------------------
-// sdf: static-schedule pricing. compile() solves the balance equations;
-// a homogeneous graph fixes the periodic schedule (= the topological
-// order, one firing per actor per iteration) once, and the evaluator
-// replays it per candidate. The replay performs the *same arithmetic in
-// the same order* as MpsocBatch — canonical labels, per-cluster aggregate
-// locals in canonical order, the identical timed scan with prefix resume —
-// so results are bitwise identical to dynamic-fifo; what it drops is the
-// member-set FNV fingerprinting and hash-map traffic of the partial cache,
-// which is pure overhead once the schedule is known to be static.
+// Both builtins compile to one MpsocPrep and differ only in the evaluator
+// they mint from it.
 
-class SdfEvaluator final : public BackendEvaluator {
+template <class Evaluator>
+class PreparedModel final : public CompiledModel {
 public:
-    explicit SdfEvaluator(const MpsocPrep& prep) : prep_(prep) {}
-
-    MpsocResult evaluate(const Clustering& clustering) override {
-        const TaskGraph& graph = prep_.graph();
-        const std::size_t n = graph.task_count();
-        canon_prev_.swap(scratch_.canon);  // keep previous labels for resume
-        scratch_.build(clustering, n);
-        ++stats_.evaluated;
-
-        MpsocResult result;
-        accumulate_aggregates(prep_, scratch_, result);
-
-        // Identical timed scan to MpsocBatch::evaluate step 4, resuming at
-        // the earliest position whose pricing could have changed.
-        const std::size_t start = resume_position();
-        stats_.prefix_tasks_reused += start;
-        finish_.resize(n);
-        edge_arrival_.resize(graph.edge_count());
-        bus_free_at_.resize(n);
-        cpu_free_.assign(static_cast<std::size_t>(scratch_.clusters), 0.0);
-        for (std::size_t q = 0; q < start; ++q) {
-            TaskIndex t = prep_.topo()[q];
-            cpu_free_[static_cast<std::size_t>(scratch_.canon[t])] = finish_[t];
-        }
-        double bus_free = start > 0 ? bus_free_at_[start - 1] : 0.0;
-        for (std::size_t q = start; q < n; ++q) {
-            TaskIndex t = prep_.topo()[q];
-            int c = scratch_.canon[t];
-            double ready = cpu_free_[static_cast<std::size_t>(c)];
-            for (std::size_t e : graph.in_edges(t))
-                ready = std::max(ready, edge_arrival_[e]);
-            finish_[t] = ready + prep_.work()[t];
-            cpu_free_[static_cast<std::size_t>(c)] = finish_[t];
-            for (std::size_t e : graph.out_edges(t)) {
-                const Edge& edge = graph.edge(e);
-                if (scratch_.canon[edge.to] == c) {
-                    edge_arrival_[e] = finish_[t] + prep_.sw_delay()[e];
-                } else {
-                    double duration = prep_.bus_duration()[e];
-                    double transfer_start = finish_[t];
-                    if (prep_.params().shared_bus) {
-                        transfer_start = std::max(transfer_start, bus_free);
-                        bus_free = transfer_start + duration;
-                    }
-                    edge_arrival_[e] = transfer_start + duration;
-                }
-            }
-            bus_free_at_[q] = bus_free;
-        }
-        for (TaskIndex t = 0; t < n; ++t)
-            result.makespan = std::max(result.makespan, finish_[t]);
-        has_prev_ = true;
-        return result;
-    }
-
-    void break_chain() override { has_prev_ = false; }
-    BatchStats stats() const override { return stats_; }
-
-private:
-    std::size_t resume_position() const {
-        if (!has_prev_ || canon_prev_.size() != scratch_.canon.size()) return 0;
-        const TaskGraph& graph = prep_.graph();
-        const std::size_t n = scratch_.canon.size();
-        std::size_t start = n;
-        for (TaskIndex t = 0; t < n; ++t) {
-            if (canon_prev_[t] == scratch_.canon[t]) continue;
-            start = std::min(start, prep_.pos()[t]);
-            for (std::size_t e : graph.in_edges(t))
-                start = std::min(start, prep_.pos()[graph.edge(e).from]);
-        }
-        return start;
-    }
-
-    const MpsocPrep& prep_;
-    BatchStats stats_;
-    CanonicalScratch scratch_;
-    bool has_prev_ = false;
-    std::vector<int> canon_prev_;
-    std::vector<double> finish_;
-    std::vector<double> edge_arrival_;
-    std::vector<double> bus_free_at_;
-    std::vector<double> cpu_free_;
-};
-
-class SdfCompiled final : public CompiledModel {
-public:
-    SdfCompiled(const TaskGraph& graph, const MpsocParams& params,
-                std::vector<std::uint64_t> repetition)
-        : prep_(graph, params), repetition_(std::move(repetition)) {}
-    std::string_view effective_backend() const override { return "sdf"; }
-    bool exact() const override { return true; }
+    PreparedModel(const TaskGraph& graph, const MpsocParams& params)
+        : prep_(graph, params) {}
     std::unique_ptr<BackendEvaluator> evaluator() const override {
-        return std::make_unique<SdfEvaluator>(prep_);
+        return std::make_unique<Evaluator>(prep_);
     }
-    /// One firing per actor per iteration — all-ones by construction.
-    const std::vector<std::uint64_t>& repetition() const { return repetition_; }
 
 private:
     MpsocPrep prep_;
-    std::vector<std::uint64_t> repetition_;
 };
 
-class SdfBackend final : public Backend {
+template <class Evaluator>
+class BuiltinBackend final : public Backend {
 public:
-    std::string_view name() const override { return "sdf"; }
-    std::string_view description() const override {
-        return "SDF static-schedule pricing (falls back on multirate graphs)";
-    }
+    BuiltinBackend(std::string_view name, std::string_view description)
+        : name_(name), description_(description) {}
+    std::string_view name() const override { return name_; }
+    std::string_view description() const override { return description_; }
     std::unique_ptr<CompiledModel> compile(
-        const TaskGraph& graph, const MpsocParams& params,
-        diag::DiagnosticEngine* engine) const override {
-        SdfAnalysis analysis = analyze_sdf(graph);
-        if (analysis.homogeneous) {
-            // Validate schedulability up front (cyclic graphs throw here,
-            // matching the simulate_mpsoc contract), then freeze the
-            // periodic schedule for the whole sweep.
-            auto compiled = std::make_unique<SdfCompiled>(
-                graph, params, std::move(analysis.repetition));
-            obs::counter("sim.sdf_schedules_built").add(1);
-            return compiled;
-        }
-        obs::counter("sim.backend_fallbacks").add(1);
-        if (engine) {
-            std::vector<std::string> notes;
-            if (analysis.consistent) {
-                std::string vec;
-                for (std::size_t t = 0; t < analysis.repetition.size(); ++t)
-                    vec += (t ? ", " : "") + graph.name(t) + "=" +
-                           std::to_string(analysis.repetition[t]);
-                notes.push_back("repetition vector: [" + vec + "]");
-            }
-            notes.push_back(
-                "candidates are priced by the dynamic-fifo engine instead");
-            engine->report(
-                diag::Severity::Warning, diag::codes::kSimBackendFallback,
-                "sdf backend cannot build a static schedule: " +
-                    analysis.reason,
-                {}, std::move(notes));
-        }
-        return std::make_unique<DynamicFifoCompiled>(graph, params);
+        const TaskGraph& graph, const MpsocParams& params) const override {
+        return std::make_unique<PreparedModel<Evaluator>>(graph, params);
     }
+
+private:
+    std::string_view name_;
+    std::string_view description_;
 };
 
 }  // namespace
@@ -376,9 +129,12 @@ const Backend* BackendRegistry::find(std::string_view name) const {
 const BackendRegistry& BackendRegistry::builtins() {
     static const BackendRegistry registry = [] {
         BackendRegistry r;
-        r.add(std::make_unique<DynamicFifoBackend>())
-            .add(std::make_unique<AnalyticBackend>())
-            .add(std::make_unique<SdfBackend>());
+        r.add(std::make_unique<BuiltinBackend<DynamicFifoEvaluator>>(
+                 kDefaultBackend,
+                 "event-driven dynamic-FIFO engine (reference semantics)"))
+            .add(std::make_unique<BuiltinBackend<AnalyticEvaluator>>(
+                "analytic",
+                "closed-form critical-path/contention lower bound (inexact)"));
         return r;
     }();
     return registry;
@@ -389,25 +145,28 @@ const Backend* find_backend(std::string_view name) {
                                                          : name);
 }
 
-const Backend& backend_or_throw(std::string_view name) {
-    if (const Backend* backend = find_backend(name)) return *backend;
+std::string unknown_backend_message(std::string_view name) {
     std::string known;
     for (const auto& b : BackendRegistry::builtins().backends())
         known += (known.empty() ? "" : ", ") + std::string(b->name());
-    throw std::invalid_argument("unknown simulation backend '" +
-                                std::string(name) + "' (known: " + known +
-                                ")");
+    return "unknown simulation backend '" + std::string(name) +
+           "' (known: " + known + ")";
+}
+
+const Backend& backend_or_throw(std::string_view name) {
+    if (const Backend* backend = find_backend(name)) return *backend;
+    throw std::invalid_argument(unknown_backend_message(name));
 }
 
 MpsocResult simulate_backend(const TaskGraph& graph,
                              const Clustering& clustering,
                              const MpsocParams& params,
                              std::string_view backend,
-                             diag::DiagnosticEngine* engine) {
+                             diag::DiagnosticEngine*) {
     obs::ObsSpan span("sim.backend");
     const Backend& be = backend_or_throw(backend);
-    std::unique_ptr<CompiledModel> compiled = be.compile(graph, params, engine);
-    span.annotate("sim.backend", compiled->effective_backend());
+    std::unique_ptr<CompiledModel> compiled = be.compile(graph, params);
+    span.annotate("sim.backend", be.name());
     return compiled->evaluator()->evaluate(clustering);
 }
 

@@ -4,23 +4,15 @@
 // simulators" — applied to our cost layer: every consumer of the MPSoC
 // cost model (the DSE sweep, the flow's advisory estimate pass, the CLI,
 // the serve daemon) prices candidates through a named `Backend` instead of
-// calling the dynamic-FIFO engine directly. Three builtins:
+// calling the dynamic-FIFO engine directly. Two builtins:
 //
 //   dynamic-fifo   the event-driven engine of sim/mpsoc + sim/batch — the
-//                  reference semantics every exact backend must reproduce;
+//                  one exact evaluator;
 //   analytic       closed-form critical-path/contention bound, no event
 //                  loop: max(dependency-path bound, per-CPU work bound,
 //                  shared-bus occupancy bound). Orders of magnitude cheaper
 //                  and deliberately *inexact* (a lower bound, for triage
-//                  sweeps) — never cross-verified bitwise;
-//   sdf            SDF static-schedule pricing (Fakih et al., PAPERS.md):
-//                  `compile` solves the balance equations (sim/sdf.hpp);
-//                  on a homogeneous (single-rate) graph it fixes the
-//                  periodic schedule at compile time and prices candidates
-//                  by replaying it — bitwise identical to dynamic-fifo,
-//                  but with no per-cluster fingerprint hashing in the
-//                  inner loop. Non-static rates fall back to dynamic-fifo
-//                  with a structured `sim.backend-fallback` diagnostic.
+//                  sweeps) — never cross-verified bitwise.
 //
 // Split mirrors sim/batch: `Backend::compile` is the per-(graph, params)
 // precomputation, shared read-only across workers; `CompiledModel::
@@ -62,13 +54,6 @@ public:
 class CompiledModel {
 public:
     virtual ~CompiledModel() = default;
-    /// The backend actually pricing candidates. Differs from the requested
-    /// backend after a fallback ("sdf" on a multirate graph compiles to
-    /// "dynamic-fifo") — memo caches must key on *this* name.
-    virtual std::string_view effective_backend() const = 0;
-    /// True when results are bitwise identical to dynamic-fifo makespans
-    /// (the cross-backend verify contract). False for bounds (analytic).
-    virtual bool exact() const = 0;
     virtual std::unique_ptr<BackendEvaluator> evaluator() const = 0;
 };
 
@@ -78,14 +63,10 @@ public:
     virtual std::string_view name() const = 0;
     /// One-line description for --help and the docs.
     virtual std::string_view description() const = 0;
-    /// Compiles `graph` under `params`. A backend that cannot honour its
-    /// own semantics falls back (see CompiledModel::effective_backend),
-    /// reporting a `sim.backend-fallback` warning into `engine` when one
-    /// is given; it never fails compile for rate reasons. A cyclic graph
-    /// still throws std::logic_error — the contract simulate_mpsoc had.
+    /// Compiles `graph` under `params`. A cyclic graph throws
+    /// std::logic_error — the contract simulate_mpsoc had.
     virtual std::unique_ptr<CompiledModel> compile(
-        const taskgraph::TaskGraph& graph, const MpsocParams& params,
-        diag::DiagnosticEngine* engine = nullptr) const = 0;
+        const taskgraph::TaskGraph& graph, const MpsocParams& params) const = 0;
 };
 
 /// Name-keyed backend registry; iteration order is registration order.
@@ -97,7 +78,7 @@ public:
         return backends_;
     }
     /// The process-wide registry of builtins, registration order:
-    /// dynamic-fifo, analytic, sdf.
+    /// dynamic-fifo, analytic.
     static const BackendRegistry& builtins();
 
 private:
@@ -105,14 +86,19 @@ private:
 };
 
 /// Builtin lookup: empty name resolves to kDefaultBackend; an unknown
-/// name throws std::invalid_argument listing the registered backends.
+/// name throws std::invalid_argument carrying unknown_backend_message.
 const Backend& backend_or_throw(std::string_view name);
+/// "unknown simulation backend '<name>' (known: <registered names>)" —
+/// the one wording every front end (CLI, serve, campaign) reports.
+std::string unknown_backend_message(std::string_view name);
 /// Builtin lookup without the throw; nullptr for unknown (empty name
 /// still resolves to the default).
 const Backend* find_backend(std::string_view name);
 
 /// One-shot convenience mirroring simulate_mpsoc: compile + price one
-/// clustering on the named builtin backend.
+/// clustering on the named builtin backend. No builtin reports
+/// diagnostics; `engine` stays in the signature so existing callers keep
+/// compiling.
 MpsocResult simulate_backend(const taskgraph::TaskGraph& graph,
                              const taskgraph::Clustering& clustering,
                              const MpsocParams& params,

@@ -12,21 +12,6 @@ using taskgraph::Edge;
 using taskgraph::TaskGraph;
 using taskgraph::TaskIndex;
 
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t fnv1a(std::uint64_t hash, std::uint64_t value) {
-    for (int i = 0; i < 8; ++i) {
-        hash ^= (value >> (i * 8)) & 0xffu;
-        hash *= kFnvPrime;
-    }
-    return hash;
-}
-
-}  // namespace
-
 MpsocPrep::MpsocPrep(const TaskGraph& graph, const MpsocParams& params)
     : graph_(&graph), params_(params), topo_(graph.topological_order()) {
     const std::size_t n = graph.task_count();
@@ -45,47 +30,64 @@ MpsocPrep::MpsocPrep(const TaskGraph& graph, const MpsocParams& params)
     }
 }
 
-MpsocBatch::MpsocBatch(const MpsocPrep& prep) : prep_(prep) {}
+MpsocResult CanonicalClustering::aggregate(const MpsocPrep& prep,
+                                           const Clustering& clustering) {
+    const TaskGraph& graph = prep.graph();
+    const std::size_t n = graph.task_count();
+    if (n != clustering.task_count())
+        throw std::invalid_argument("clustering does not match graph size");
 
-const MpsocBatch::ClusterPartial& MpsocBatch::partial_of(int cluster) {
-    const std::vector<TaskIndex>& members =
-        members_[static_cast<std::size_t>(cluster)];
-    std::uint64_t fp = fnv1a(kFnvOffset, members.size());
-    for (TaskIndex t : members) fp = fnv1a(fp, t);
-    auto it = partials_.find(fp);
-    if (it != partials_.end()) {
-        ++stats_.partials_reused;
-        return it->second;
-    }
-    ++stats_.partials_computed;
-    const TaskGraph& graph = *prep_.graph_;
-    ClusterPartial p;
-    for (TaskIndex t : members) {
-        p.work += prep_.work_[t];
+    // 1. Canonical labels. Clustering keeps its ids dense in first-
+    //    appearance order by task index (from_assignment and merge both
+    //    normalize), so its own ids are the canonical numbering.
+    canon_.resize(n);
+    for (TaskIndex t = 0; t < n; ++t) canon_[t] = clustering.cluster_of(t);
+    clusters_ = clustering.cluster_count();
+    const auto clusters = static_cast<std::size_t>(clusters_);
+
+    // 2. Per-cluster locals, each summed over its members in ascending
+    //    task order.
+    MpsocResult result;
+    result.cpu_busy.assign(clusters, 0.0);
+    internal_cost_.assign(clusters, 0.0);
+    cut_cost_.assign(clusters, 0.0);
+    cut_bus_.assign(clusters, 0.0);
+    cut_edges_.assign(clusters, 0);
+    for (TaskIndex t = 0; t < n; ++t) {
+        const auto c = static_cast<std::size_t>(canon_[t]);
+        result.cpu_busy[c] += prep.work()[t];
         for (std::size_t e : graph.out_edges(t)) {
             const Edge& edge = graph.edge(e);
-            // Internality depends only on the member set (is `to` one of
-            // us?), which is exactly what the cache key fingerprints — so
-            // a cached partial stays valid across candidates.
-            if (canon_cur_[edge.to] == cluster) {
-                p.internal_cost += edge.cost;
+            if (canon_[edge.to] == canon_[t]) {
+                internal_cost_[c] += edge.cost;
             } else {
-                p.cut_cost += edge.cost;
-                p.cut_bus += prep_.bus_duration_[e];
-                ++p.cut_edges;
+                cut_cost_[c] += edge.cost;
+                cut_bus_[c] += prep.bus_duration()[e];
+                ++cut_edges_[c];
             }
         }
     }
-    return partials_.emplace(fp, p).first->second;
+
+    // 3. Aggregates, summed cluster by cluster in canonical order.
+    for (std::size_t c = 0; c < clusters; ++c) {
+        result.intra_traffic += internal_cost_[c];
+        result.inter_traffic += cut_cost_[c];
+        result.bus_busy += cut_bus_[c];
+        result.bus_transfers += cut_edges_[c];
+    }
+    return result;
 }
 
+MpsocBatch::MpsocBatch(const MpsocPrep& prep) : prep_(prep) {}
+
 std::size_t MpsocBatch::resume_position() const {
-    if (!has_prev_ || canon_prev_.size() != canon_cur_.size()) return 0;
+    const std::vector<int>& canon = current_.labels();
+    if (!has_prev_ || canon_prev_.size() != canon.size()) return 0;
     const TaskGraph& graph = *prep_.graph_;
-    const std::size_t n = canon_cur_.size();
+    const std::size_t n = canon.size();
     std::size_t start = n;
     for (TaskIndex t = 0; t < n; ++t) {
-        if (canon_prev_[t] == canon_cur_[t]) continue;
+        if (canon_prev_[t] == canon[t]) continue;
         // A changed task invalidates its own position *and* every producer
         // position feeding it: an in-edge is priced when the producer runs,
         // and that price reads the consumer's cluster.
@@ -101,45 +103,9 @@ MpsocResult MpsocBatch::evaluate(const Clustering& clustering) {
     runs.add(1);
     const TaskGraph& graph = *prep_.graph_;
     const std::size_t n = graph.task_count();
-    if (n != clustering.task_count())
-        throw std::invalid_argument("clustering does not match graph size");
+    MpsocResult result = current_.aggregate(prep_, clustering);
+    const std::vector<int>& canon = current_.labels();
     ++stats_.evaluated;
-
-    // 1. Canonical dense labels, first-appearance order by task index.
-    //    (Clustering::merge can leave sparse raw ids, so never assume the
-    //    raw assignment is dense.)
-    canon_cur_.assign(n, -1);
-    int max_raw = -1;
-    for (TaskIndex t = 0; t < n; ++t)
-        max_raw = std::max(max_raw, clustering.cluster_of(t));
-    dense_.assign(static_cast<std::size_t>(max_raw + 1), -1);
-    int k = 0;
-    for (TaskIndex t = 0; t < n; ++t) {
-        int& label = dense_[static_cast<std::size_t>(clustering.cluster_of(t))];
-        if (label < 0) label = k++;
-        canon_cur_[t] = label;
-    }
-
-    // 2. Member lists per canonical cluster (ascending task index).
-    members_.resize(static_cast<std::size_t>(k));
-    for (auto& m : members_) m.clear();
-    for (TaskIndex t = 0; t < n; ++t)
-        members_[static_cast<std::size_t>(canon_cur_[t])].push_back(t);
-
-    // 3. Aggregates from per-cluster partials, summed in canonical cluster
-    //    order — one deterministic order shared by fresh and incremental
-    //    evaluation, and no subtractions: a clustering with no cut edges
-    //    reports inter_traffic exactly 0.0.
-    MpsocResult result;
-    result.cpu_busy.assign(static_cast<std::size_t>(k), 0.0);
-    for (int ci = 0; ci < k; ++ci) {
-        const ClusterPartial& p = partial_of(ci);
-        result.cpu_busy[static_cast<std::size_t>(ci)] = p.work;
-        result.intra_traffic += p.internal_cost;
-        result.inter_traffic += p.cut_cost;
-        result.bus_busy += p.cut_bus;
-        result.bus_transfers += p.cut_edges;
-    }
 
     // 4. Timed scan with prefix resume. Every quantity at topological
     //    position q (finish, edge arrivals, bus_free) depends only on the
@@ -151,15 +117,15 @@ MpsocResult MpsocBatch::evaluate(const Clustering& clustering) {
     finish_.resize(n);
     edge_arrival_.resize(graph.edge_count());
     bus_free_at_.resize(n);
-    cpu_free_.assign(static_cast<std::size_t>(k), 0.0);
+    cpu_free_.assign(static_cast<std::size_t>(current_.clusters()), 0.0);
     for (std::size_t q = 0; q < start; ++q) {
         TaskIndex t = prep_.topo_[q];
-        cpu_free_[static_cast<std::size_t>(canon_cur_[t])] = finish_[t];
+        cpu_free_[static_cast<std::size_t>(canon[t])] = finish_[t];
     }
     double bus_free = start > 0 ? bus_free_at_[start - 1] : 0.0;
     for (std::size_t q = start; q < n; ++q) {
         TaskIndex t = prep_.topo_[q];
-        int c = canon_cur_[t];
+        int c = canon[t];
         double ready = cpu_free_[static_cast<std::size_t>(c)];
         for (std::size_t e : graph.in_edges(t))
             ready = std::max(ready, edge_arrival_[e]);
@@ -167,7 +133,7 @@ MpsocResult MpsocBatch::evaluate(const Clustering& clustering) {
         cpu_free_[static_cast<std::size_t>(c)] = finish_[t];
         for (std::size_t e : graph.out_edges(t)) {
             const Edge& edge = graph.edge(e);
-            if (canon_cur_[edge.to] == c) {
+            if (canon[edge.to] == c) {
                 edge_arrival_[e] = finish_[t] + prep_.sw_delay_[e];
             } else {
                 double duration = prep_.bus_duration_[e];
@@ -184,7 +150,7 @@ MpsocResult MpsocBatch::evaluate(const Clustering& clustering) {
     for (TaskIndex t = 0; t < n; ++t)
         result.makespan = std::max(result.makespan, finish_[t]);
 
-    canon_prev_.swap(canon_cur_);
+    current_.swap_labels(canon_prev_);
     has_prev_ = true;
     return result;
 }

@@ -8,27 +8,23 @@
 //  * `MpsocPrep` — the immutable per-(graph, params) precomputation
 //    (topological order/positions, per-task compute cycles, per-edge
 //    transfer prices), built once and shared read-only by every worker;
+//  * `CanonicalClustering` — the clustering-derived half of a price
+//    (dense labels, per-CPU work, traffic and bus occupancy), shared by
+//    every backend so they agree on cluster numbering and summation order;
 //  * `MpsocBatch` — a per-worker evaluator that carries scratch buffers
-//    and two reuse layers across consecutive candidates:
-//      - per-cluster partial costs (compute cycles, internal traffic, cut
-//        traffic/bus occupancy) keyed by the cluster's member set, so a
-//        cluster that reappears in a later candidate is never re-priced;
-//      - schedule-prefix reuse: neighboring clusterings differ in a few
-//        task assignments, and every scan quantity at a topological
-//        position depends only on assignments at or before the first
-//        affected position — so the timed scan resumes there instead of
-//        at zero.
+//    and one reuse layer across consecutive candidates, schedule-prefix
+//    resume: neighboring clusterings differ in a few task assignments,
+//    and every scan quantity at a topological position depends only on
+//    assignments at or before the first affected position — so the timed
+//    scan resumes there instead of at zero.
 //
-// Both layers are exact: an incremental evaluation is bitwise identical
-// to a fresh one (the partial of a member set is computed once, in one
-// deterministic order; a resumed scan replays the same operations from
+// Prefix resume is exact: an incremental evaluation is bitwise identical
+// to a fresh one (a resumed scan replays the same operations from
 // identical state). `simulate_mpsoc` is the chain-free special case, which
 // makes it the natural oracle for `dse` verify mode.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/mpsoc.hpp"
@@ -40,8 +36,6 @@ namespace uhcg::sim {
 /// Reuse accounting for one MpsocBatch (one chunk of a sweep).
 struct BatchStats {
     std::size_t evaluated = 0;           ///< clusterings priced
-    std::size_t partials_computed = 0;   ///< cluster partials priced fresh
-    std::size_t partials_reused = 0;     ///< cluster partials served cached
     std::size_t prefix_tasks_reused = 0; ///< scan positions replayed from the
                                          ///< previous candidate's schedule
 };
@@ -56,11 +50,10 @@ public:
     const taskgraph::TaskGraph& graph() const { return *graph_; }
     const MpsocParams& params() const { return params_; }
 
-    // The precomputed tables, exposed read-only so alternative pricing
-    // backends (sim/backend.hpp) replay the exact arithmetic of the timed
-    // scan without re-deriving them.
+    // The precomputed tables, exposed read-only so CanonicalClustering
+    // and the analytic backend (sim/backend.hpp) price with the same
+    // per-task and per-edge costs as the timed scan.
     const std::vector<taskgraph::TaskIndex>& topo() const { return topo_; }
-    const std::vector<std::size_t>& pos() const { return pos_; }
     const std::vector<double>& work() const { return work_; }
     const std::vector<double>& sw_delay() const { return sw_delay_; }
     const std::vector<double>& bus_duration() const { return bus_duration_; }
@@ -76,6 +69,39 @@ private:
     std::vector<double> bus_duration_;        ///< per edge: setup + cost × gfifo
 };
 
+/// Steps 1–3 of pricing one clustering, shared by every backend. Labels
+/// are the clustering's dense ids (first-appearance order by task index);
+/// the aggregates are summed member-ascending per cluster, then cluster by
+/// cluster in canonical order — one deterministic FP order for fresh and
+/// incremental evaluation, with no subtractions, so a clustering without
+/// cut edges reports inter_traffic exactly 0.0. Not thread-safe: the
+/// buffers persist across calls.
+class CanonicalClustering {
+public:
+    /// Labels `clustering` (std::invalid_argument when its size does not
+    /// match the graph) and returns a result with every aggregate filled
+    /// in; makespan is left 0 for the caller's timing model.
+    MpsocResult aggregate(const MpsocPrep& prep,
+                          const taskgraph::Clustering& clustering);
+
+    /// Task → canonical cluster id of the last aggregate() call.
+    const std::vector<int>& labels() const { return canon_; }
+    int clusters() const { return clusters_; }
+    /// Exchanges the labels with `other` (how MpsocBatch keeps the
+    /// previous candidate's labels without copying them).
+    void swap_labels(std::vector<int>& other) { canon_.swap(other); }
+
+private:
+    std::vector<int> canon_;
+    int clusters_ = 0;
+    // Per-cluster locals: Σ cost of member→member edges, Σ cost and bus
+    // duration of member→outside edges, and how many cross the boundary.
+    std::vector<double> internal_cost_;
+    std::vector<double> cut_cost_;
+    std::vector<double> cut_bus_;
+    std::vector<std::size_t> cut_edges_;
+};
+
 /// Per-worker incremental evaluator. Not thread-safe; create one per
 /// chunk/worker and feed it candidates in locality order (neighbors
 /// adjacent) to maximize reuse. Results do not depend on that order.
@@ -89,34 +115,21 @@ public:
     MpsocResult evaluate(const taskgraph::Clustering& clustering);
 
     /// Forgets the previous candidate: the next evaluate() runs a full
-    /// scan (the per-cluster partial cache is kept — it is history-free).
+    /// scan.
     void break_chain() { has_prev_ = false; }
 
     const BatchStats& stats() const { return stats_; }
 
 private:
-    /// Costs of one cluster that depend on its member set alone.
-    struct ClusterPartial {
-        double work = 0.0;           ///< Σ member compute cycles
-        double internal_cost = 0.0;  ///< Σ cost of member→member edges
-        double cut_cost = 0.0;       ///< Σ cost of member→outside edges
-        double cut_bus = 0.0;        ///< Σ bus duration of those edges
-        std::size_t cut_edges = 0;   ///< how many cross the boundary
-    };
-
-    const ClusterPartial& partial_of(int cluster);
     std::size_t resume_position() const;
 
     const MpsocPrep& prep_;
     BatchStats stats_;
-    std::unordered_map<std::uint64_t, ClusterPartial> partials_;
+    CanonicalClustering current_;
 
     // Scratch, persistent across evaluate() calls (the delta chain).
     bool has_prev_ = false;
-    std::vector<int> canon_prev_;  ///< previous canonical assignment
-    std::vector<int> canon_cur_;
-    std::vector<int> dense_;       ///< raw cluster id → canonical id
-    std::vector<std::vector<taskgraph::TaskIndex>> members_;
+    std::vector<int> canon_prev_;       ///< previous canonical assignment
     std::vector<double> finish_;        ///< per task
     std::vector<double> edge_arrival_;  ///< per edge
     std::vector<double> bus_free_at_;   ///< per position, post-pricing

@@ -13,35 +13,21 @@ TaskIndex TaskGraph::add_task(std::string name, double weight) {
     return names_.size() - 1;
 }
 
-void TaskGraph::add_edge(TaskIndex from, TaskIndex to, double cost,
-                         std::uint32_t produce, std::uint32_t consume) {
+void TaskGraph::add_edge(TaskIndex from, TaskIndex to, double cost) {
     if (from >= task_count() || to >= task_count())
         throw std::out_of_range("edge endpoint out of range");
     if (from == to) throw std::invalid_argument("self edge on task " + names_[from]);
-    if (produce == 0 || consume == 0)
-        throw std::invalid_argument("zero token rate on edge " + names_[from] +
-                                    " -> " + names_[to]);
     // Merge parallel edges: several messages between the same pair of
     // threads accumulate into one dependency with summed traffic.
     for (std::size_t e : out_[from]) {
         if (edges_[e].to == to) {
-            if (edges_[e].produce != produce || edges_[e].consume != consume)
-                throw std::invalid_argument(
-                    "conflicting token rates on merged edge " + names_[from] +
-                    " -> " + names_[to]);
             edges_[e].cost += cost;
             return;
         }
     }
-    edges_.push_back({from, to, cost, produce, consume});
+    edges_.push_back({from, to, cost});
     out_[from].push_back(edges_.size() - 1);
     in_[to].push_back(edges_.size() - 1);
-}
-
-bool TaskGraph::unit_rate() const {
-    for (const Edge& e : edges_)
-        if (!e.unit_rate()) return false;
-    return true;
 }
 
 std::optional<TaskIndex> TaskGraph::find(std::string_view name) const {

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -22,14 +21,6 @@ struct Edge {
     TaskIndex from = 0;
     TaskIndex to = 0;
     double cost = 0.0;  ///< communication cost (transferred data)
-    /// SDF token rates: tokens written per producer firing / read per
-    /// consumer firing. UML-mined graphs are single-rate (1/1); the rates
-    /// only matter to the static-schedule simulation backend, which checks
-    /// them for consistency before committing to a compile-time schedule.
-    std::uint32_t produce = 1;
-    std::uint32_t consume = 1;
-
-    bool unit_rate() const { return produce == 1 && consume == 1; }
 };
 
 /// A DAG of tasks. Parallel edges between the same pair are merged by
@@ -38,13 +29,8 @@ class TaskGraph {
 public:
     /// Adds a task; returns its index. Weight is the computation cost.
     TaskIndex add_task(std::string name, double weight = 1.0);
-    /// Adds (or accumulates onto) the edge from → to. Merged parallel
-    /// edges must agree on token rates (std::invalid_argument otherwise —
-    /// two messages on one FIFO cannot carry different rate signatures).
-    void add_edge(TaskIndex from, TaskIndex to, double cost,
-                  std::uint32_t produce = 1, std::uint32_t consume = 1);
-    /// True when every edge is single-rate (the homogeneous-SDF case).
-    bool unit_rate() const;
+    /// Adds (or accumulates onto) the edge from → to.
+    void add_edge(TaskIndex from, TaskIndex to, double cost);
 
     std::size_t task_count() const { return names_.size(); }
     std::size_t edge_count() const { return edges_.size(); }

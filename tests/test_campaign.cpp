@@ -92,7 +92,7 @@ TEST_F(Campaign, ManifestParsesFieldsAndDefaults) {
         "schema": "uhcg-campaign-v1",
         "models": ["a.xmi", "b.xmi"],
         "strategies": "explore",
-        "backends": ["sdf"],
+        "backends": ["analytic"],
         "cost_models": [{"name": "slow", "gfifo_cost_per_byte": 40,
                          "shared_bus": false}],
         "explore": {"max_processors": 4, "random_samples": 2},
@@ -103,7 +103,7 @@ TEST_F(Campaign, ManifestParsesFieldsAndDefaults) {
     ASSERT_EQ(m.strategies.size(), 1u);  // scalar accepted as 1-elem list
     EXPECT_EQ(m.strategies[0], "explore");
     ASSERT_EQ(m.backends.size(), 1u);
-    EXPECT_EQ(m.backends[0], "sdf");
+    EXPECT_EQ(m.backends[0], "analytic");
     ASSERT_EQ(m.cost_models.size(), 1u);
     EXPECT_EQ(m.cost_models[0].name, "slow");
     EXPECT_EQ(m.cost_models[0].params.gfifo_cost_per_byte, 40.0);
@@ -145,6 +145,20 @@ TEST_F(Campaign, ManifestRejectsBadInputsWithStructuredErrors) {
         EXPECT_GE(engine.count_code(diag::codes::kCampaignManifest), 1u)
             << text;
     }
+}
+
+TEST_F(Campaign, ManifestRejectsRemovedSdfBackend) {
+    // The static-schedule backend is gone with no alias: a manifest naming
+    // it fails validation with the registry's unknown-backend text.
+    diag::DiagnosticEngine engine;
+    campaign::parse_manifest(R"({"schema": "uhcg-campaign-v1",
+        "models": "a", "backends": ["sdf"]})", engine);
+    ASSERT_EQ(engine.count_code(diag::codes::kCampaignManifest), 1u);
+    EXPECT_NE(engine.diagnostics().front().message.find(
+                  "unknown simulation backend 'sdf' (known: dynamic-fifo, "
+                  "analytic)"),
+              std::string::npos)
+        << engine.diagnostics().front().message;
 }
 
 TEST_F(Campaign, ExpandIsDeterministicAndContentKeyed) {

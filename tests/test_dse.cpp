@@ -261,7 +261,7 @@ TEST(Dse, RandomApplicationsExploreCleanly) {
     }
 }
 
-// --- incremental evaluation (chunked batches, partial/prefix reuse) ----------
+// --- incremental evaluation (chunked batches, schedule-prefix reuse) ---------
 
 TEST(DseIncremental, ChunkSizeAndJobsDoNotChangeResults) {
     // The acceptance bar for the incremental sweep: byte-identical
@@ -301,7 +301,7 @@ TEST(DseIncremental, ChunkSizeAndJobsDoNotChangeResults) {
 }
 
 TEST(DseIncremental, ReuseStatsAreJobsInvariant) {
-    // partial_reuse / prefix_tasks_reused / chunks depend only on the
+    // prefix_tasks_reused / chunks depend only on the
     // candidate set and chunk size — the property that lets the perf gate
     // enforce them as exact determinism counters across machines.
     uml::Model syn = cases::synthetic_model();
@@ -314,27 +314,24 @@ TEST(DseIncremental, ReuseStatsAreJobsInvariant) {
     ExploreResult a = explore(syn, comm, serial);
     clear_simulation_cache();
     ExploreResult b = explore(syn, comm, parallel);
-    EXPECT_EQ(a.stats.partial_reuse, b.stats.partial_reuse);
     EXPECT_EQ(a.stats.prefix_tasks_reused, b.stats.prefix_tasks_reused);
     EXPECT_EQ(a.stats.chunks, b.stats.chunks);
     clear_simulation_cache();
 }
 
-TEST(DseIncremental, ColdSweepReusesPartials) {
+TEST(DseIncremental, ColdSweepResumesPrefixesWarmSweepRunsNone) {
     uml::Model syn = cases::synthetic_model();
     core::CommModel comm = core::analyze_communication(syn);
     clear_simulation_cache();
     ExploreResult r = explore(syn, comm);
-    // The sweep's repeated structures (singleton clusters across
-    // round-robin/random budgets, saturating linear/k chains) guarantee
-    // cluster partials recur even on a completely cold cache.
-    EXPECT_GT(r.stats.partial_reuse, 0u);
     EXPECT_GT(r.stats.chunks, 0u);
+    // Locality-ordered neighbors share schedule prefixes even cold.
+    EXPECT_GT(r.stats.prefix_tasks_reused, 0u);
     EXPECT_EQ(r.stats.verified, 0u);  // verify_full off by default
     // Warm sweep: everything is memoized, so no batches run at all.
     ExploreResult warm = explore(syn, comm);
-    EXPECT_EQ(warm.stats.partial_reuse, 0u);
     EXPECT_EQ(warm.stats.chunks, 0u);
+    EXPECT_EQ(warm.stats.prefix_tasks_reused, 0u);
     clear_simulation_cache();
 }
 
@@ -359,27 +356,6 @@ TEST(DseIncremental, VerifyFullMatchesIncremental) {
 
 // --- simulation backends through the sweep (sim/backend.hpp) -----------------
 
-TEST(DseBackend, SdfSweepIsBitwiseIdenticalToDynamicFifo) {
-    uml::Model app = cases::random_application(7, 14, 4);
-    core::CommModel comm = core::analyze_communication(app);
-    ExploreOptions dynamic_fifo;
-    dynamic_fifo.jobs = 1;
-    ExploreOptions sdf = dynamic_fifo;
-    sdf.backend = "sdf";
-    clear_simulation_cache();
-    ExploreResult a = explore(app, comm, dynamic_fifo);
-    clear_simulation_cache();
-    ExploreResult b = explore(app, comm, sdf);
-    EXPECT_EQ(b.stats.backend, "sdf");
-    EXPECT_EQ(b.stats.effective_backend, "sdf");
-    ASSERT_EQ(a.candidates.size(), b.candidates.size());
-    for (std::size_t i = 0; i < a.candidates.size(); ++i)
-        EXPECT_EQ(a.candidates[i].makespan, b.candidates[i].makespan) << i;
-    EXPECT_EQ(a.best, b.best);
-    EXPECT_EQ(format(a), format(b));
-    clear_simulation_cache();
-}
-
 TEST(DseBackend, MemoCacheIsolatesBackends) {
     // An analytic sweep must never serve its bounds to a dynamic-fifo
     // sweep (or vice versa): run analytic cold, then dynamic-fifo — the
@@ -403,32 +379,23 @@ TEST(DseBackend, MemoCacheIsolatesBackends) {
     clear_simulation_cache();
 }
 
-TEST(DseBackend, VerifyFullCrossChecksSdfAgainstReference) {
-    uml::Model app = cases::random_application(6, 12, 3);
-    core::CommModel comm = core::analyze_communication(app);
-    ExploreOptions options;
-    options.backend = "sdf";
-    options.verify_full = true;
-    options.jobs = 2;
-    clear_simulation_cache();
-    ExploreResult r = explore(app, comm, options);
-    EXPECT_EQ(r.stats.verified, r.stats.unique_clusterings);
-    EXPECT_GT(r.stats.verified, 0u);
-    clear_simulation_cache();
-}
-
 TEST(DseBackend, UnknownBackendThrowsListingNames) {
     uml::Model syn = cases::synthetic_model();
     core::CommModel comm = core::analyze_communication(syn);
-    ExploreOptions options;
-    options.backend = "simd-warp";
-    try {
-        (void)explore(syn, comm, options);
-        FAIL() << "unknown backend accepted";
-    } catch (const std::invalid_argument& e) {
-        EXPECT_NE(std::string(e.what()).find("dynamic-fifo"),
-                  std::string::npos);
-        EXPECT_NE(std::string(e.what()).find("sdf"), std::string::npos);
+    // "sdf" names the removed static-schedule backend: no alias, the
+    // same error as any unknown name.
+    for (const char* name : {"simd-warp", "sdf"}) {
+        ExploreOptions options;
+        options.backend = name;
+        try {
+            (void)explore(syn, comm, options);
+            FAIL() << "unknown backend '" << name << "' accepted";
+        } catch (const std::invalid_argument& e) {
+            std::string what = e.what();
+            std::string known = what.substr(what.find("(known: "));
+            EXPECT_EQ(known, "(known: dynamic-fifo, analytic)") << what;
+            EXPECT_EQ(known.find("sdf"), std::string::npos) << what;
+        }
     }
 }
 

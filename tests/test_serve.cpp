@@ -22,6 +22,7 @@
 #include "serve/engine.hpp"
 #include "serve/frame.hpp"
 #include "serve/server.hpp"
+#include "sim/backend.hpp"
 #include "uml/xmi.hpp"
 
 namespace {
@@ -265,15 +266,13 @@ TEST(ServeEngine, ExploreReportsIncrementalReuseAndStatusRollsItUp) {
     EXPECT_NE(status.find("\"dse\":{\"explores\":0"), std::string::npos)
         << status;
 
-    // Cold explore: fresh simulations, nonzero partial reuse, per-request
-    // stats in the response (verify_full exercises the oracle path too).
+    // Cold explore: fresh simulations, per-request reuse stats in the
+    // response (verify_full exercises the oracle path too).
     std::string cold = engine.handle(
         "{\"method\":\"explore\",\"id\":1,\"model_hash\":\"" + resident->hash +
         "\",\"params\":{\"jobs\":1,\"verify_full\":true}}");
     ASSERT_TRUE(response_ok(cold)) << cold;
-    EXPECT_NE(cold.find("\"partial_reuse\":"), std::string::npos) << cold;
     EXPECT_NE(cold.find("\"prefix_tasks_reused\":"), std::string::npos) << cold;
-    EXPECT_EQ(cold.find("\"partial_reuse\":0,"), std::string::npos) << cold;
     EXPECT_EQ(cold.find("\"verified\":0"), std::string::npos) << cold;
 
     // Warm explore: the memo serves everything — zero simulations.
@@ -285,7 +284,7 @@ TEST(ServeEngine, ExploreReportsIncrementalReuseAndStatusRollsItUp) {
         << warm;
 
     // Status rolls both up: 2 explores; "last" shows the warm request
-    // (cache hits, no partial reuse).
+    // (cache hits, no simulations).
     status = engine.handle("{\"method\":\"status\",\"id\":3}");
     ASSERT_TRUE(response_ok(status)) << status;
     EXPECT_NE(status.find("\"dse\":{\"explores\":2"), std::string::npos)
@@ -293,6 +292,32 @@ TEST(ServeEngine, ExploreReportsIncrementalReuseAndStatusRollsItUp) {
     EXPECT_NE(status.find("\"last\":{\"simulations\":0"), std::string::npos)
         << status;
     dse::clear_simulation_cache();
+}
+
+TEST(ServeEngine, UnknownBackendListsExactlyTheRegisteredNames) {
+    // "sdf" names the removed static-schedule backend: explore and
+    // simulate reject it like any unknown name, with the registry's text.
+    serve::Engine engine{serve::EngineOptions{}};
+    std::shared_ptr<const serve::ResidentModel> resident;
+    {
+        diag::DiagnosticEngine diagnostics;
+        resident = engine.cache().admit(didactic_xmi(), diagnostics);
+        ASSERT_TRUE(resident);
+    }
+    for (const char* method : {"explore", "simulate"}) {
+        std::string response = engine.handle(
+            std::string("{\"method\":\"") + method +
+            "\",\"id\":1,\"model_hash\":\"" + resident->hash +
+            "\",\"params\":{\"backend\":\"sdf\"}}");
+        EXPECT_EQ(error_code(response), "serve.bad-request") << response;
+        obs::json::Value doc = parsed(response);
+        const obs::json::Value* message = doc.find("error")->find("message");
+        ASSERT_TRUE(message) << response;
+        EXPECT_EQ(message->string, sim::unknown_backend_message("sdf"));
+        EXPECT_EQ(message->string,
+                  "unknown simulation backend 'sdf' (known: dynamic-fifo, "
+                  "analytic)");
+    }
 }
 
 TEST(ServeCache, EvictsLeastRecentlyUsedUnderByteBudget) {

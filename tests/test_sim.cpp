@@ -8,7 +8,6 @@
 #include "sim/batch.hpp"
 #include "sim/engine.hpp"
 #include "sim/mpsoc.hpp"
-#include "sim/sdf.hpp"
 #include "taskgraph/baselines.hpp"
 #include "taskgraph/generate.hpp"
 #include "taskgraph/linear.hpp"
@@ -321,9 +320,8 @@ TEST(MpsocBatch, DeltaCostMathOnHandBuiltChain) {
     EXPECT_DOUBLE_EQ(r.cpu_busy[0], 300.0);
     EXPECT_DOUBLE_EQ(r.cpu_busy[1], 300.0);
 
-    // Delta step: move B next to C. Cluster {C} from before no longer
-    // exists as a set; the {B,C} and {A} partials are fresh; the schedule
-    // must restart at A (the producer of an edge into the moved task).
+    // Delta step: move B next to C. The schedule must restart at A (the
+    // producer of an edge into the moved task).
     taskgraph::Clustering moved =
         taskgraph::Clustering::from_assignment({0, 1, 1});
     MpsocResult m = batch.evaluate(moved);
@@ -354,9 +352,9 @@ TEST(MpsocBatch, IncrementalMatchesFullOnNeighborSequence) {
         expect_same_result(batch.evaluate(c), simulate_mpsoc(g, c));
     }
     EXPECT_EQ(batch.stats().evaluated, n);
-    // Single-task moves leave most clusters (and often a schedule prefix)
-    // intact — the reuse the DSE sweep banks on.
-    EXPECT_GT(batch.stats().partials_reused, 0u);
+    // Single-task moves leave a schedule prefix intact — the reuse the DSE
+    // sweep banks on.
+    EXPECT_GT(batch.stats().prefix_tasks_reused, 0u);
 }
 
 TEST(MpsocBatch, RepeatedClusteringReusesEverything) {
@@ -365,11 +363,9 @@ TEST(MpsocBatch, RepeatedClusteringReusesEverything) {
     MpsocPrep prep(g, MpsocParams{});
     MpsocBatch batch(prep);
     MpsocResult first = batch.evaluate(c);
-    std::size_t computed_once = batch.stats().partials_computed;
     MpsocResult again = batch.evaluate(c);
     expect_same_result(first, again);
-    // Identical candidate: zero new partials, full schedule replay.
-    EXPECT_EQ(batch.stats().partials_computed, computed_once);
+    // Identical candidate: full schedule replay.
     EXPECT_EQ(batch.stats().prefix_tasks_reused, g.task_count());
 }
 
@@ -425,44 +421,27 @@ TEST(MpsocBatch, MismatchedClusteringRejected) {
 // ---------------------------------------------------------------------------
 // Pluggable simulation backends (sim/backend.hpp).
 
-/// A multirate but consistent SDF graph: A fires once, B twice.
-taskgraph::TaskGraph multirate_graph() {
-    taskgraph::TaskGraph g;
-    taskgraph::TaskIndex a = g.add_task("A", 2.0);
-    taskgraph::TaskIndex b = g.add_task("B", 1.0);
-    g.add_edge(a, b, 4.0, /*produce=*/2, /*consume=*/1);
-    return g;
-}
-
 TEST(SimBackend, RegistryListsBuiltinsInOrder) {
     const BackendRegistry& registry = BackendRegistry::builtins();
-    ASSERT_EQ(registry.backends().size(), 3u);
+    ASSERT_EQ(registry.backends().size(), 2u);
     EXPECT_EQ(registry.backends()[0]->name(), "dynamic-fifo");
     EXPECT_EQ(registry.backends()[1]->name(), "analytic");
-    EXPECT_EQ(registry.backends()[2]->name(), "sdf");
     EXPECT_EQ(&backend_or_throw(""), registry.backends()[0].get());
     EXPECT_EQ(find_backend("no-such-engine"), nullptr);
     EXPECT_THROW(backend_or_throw("no-such-engine"), std::invalid_argument);
+    // The removed static-schedule backend has no alias.
+    EXPECT_EQ(find_backend("sdf"), nullptr);
+    EXPECT_EQ(unknown_backend_message("sdf"),
+              "unknown simulation backend 'sdf' (known: dynamic-fifo, "
+              "analytic)");
 }
 
-TEST(SimBackend, SdfBitwiseEqualsDynamicFifoOnStaticGraph) {
-    taskgraph::TaskGraph g = taskgraph::fork_join_graph(3, 3, 2.0, 5.0);
-    auto compiled = backend_or_throw("sdf").compile(g, MpsocParams{});
-    EXPECT_EQ(compiled->effective_backend(), "sdf");
-    EXPECT_TRUE(compiled->exact());
-    auto evaluator = compiled->evaluator();
-    taskgraph::Clustering linear = taskgraph::linear_clustering(g);
-    expect_same_result(evaluator->evaluate(linear), simulate_mpsoc(g, linear));
-    taskgraph::Clustering single = taskgraph::single_cluster(g);
-    expect_same_result(evaluator->evaluate(single), simulate_mpsoc(g, single));
-}
-
-TEST(SimBackend, SdfPrefixResumeStaysBitwiseOnNeighborChain) {
-    // Walk single-task moves through one sdf evaluator: the prefix-resume
-    // layer must engage (reused positions > 0) without ever diverging from
-    // the history-free dynamic-fifo oracle.
+TEST(SimBackend, PrefixResumeStaysBitwiseOnNeighborChain) {
+    // Walk single-task moves through one dynamic-fifo evaluator: the
+    // prefix-resume layer must engage (reused positions > 0) without ever
+    // diverging from the history-free one-shot oracle.
     taskgraph::TaskGraph g = taskgraph::chain_graph(8, 1.5, 3.0);
-    auto compiled = backend_or_throw("sdf").compile(g, MpsocParams{});
+    auto compiled = backend_or_throw("dynamic-fifo").compile(g, MpsocParams{});
     auto evaluator = compiled->evaluator();
     std::vector<int> assign(8, 0);
     for (std::size_t t = 4; t < 8; ++t) assign[t] = 1;
@@ -478,23 +457,9 @@ TEST(SimBackend, SdfPrefixResumeStaysBitwiseOnNeighborChain) {
     expect_same_result(evaluator->evaluate(c), simulate_mpsoc(g, c));
 }
 
-TEST(SimBackend, SdfFallsBackOnMultirateGraphWithDiagnostic) {
-    taskgraph::TaskGraph g = multirate_graph();
-    diag::DiagnosticEngine engine;
-    auto compiled = backend_or_throw("sdf").compile(g, MpsocParams{}, &engine);
-    EXPECT_EQ(compiled->effective_backend(), kDefaultBackend);
-    EXPECT_TRUE(compiled->exact());  // the fallback IS the reference engine
-    EXPECT_EQ(engine.count_code(diag::codes::kSimBackendFallback), 1u);
-    EXPECT_FALSE(engine.has_errors());  // a warning, never an error
-    taskgraph::Clustering single = taskgraph::single_cluster(g);
-    expect_same_result(compiled->evaluator()->evaluate(single),
-                       simulate_mpsoc(g, single));
-}
-
 TEST(SimBackend, AnalyticIsDeterministicLowerBound) {
     taskgraph::TaskGraph g = taskgraph::fork_join_graph(4, 2, 3.0, 8.0);
     auto compiled = backend_or_throw("analytic").compile(g, MpsocParams{});
-    EXPECT_FALSE(compiled->exact());
     taskgraph::Clustering linear = taskgraph::linear_clustering(g);
     MpsocResult bound = compiled->evaluator()->evaluate(linear);
     MpsocResult reference = simulate_mpsoc(g, linear);
@@ -508,56 +473,17 @@ TEST(SimBackend, AnalyticIsDeterministicLowerBound) {
     EXPECT_EQ(compiled->evaluator()->evaluate(linear).makespan, bound.makespan);
 }
 
-TEST(SimBackend, AnalyzeSdfSolvesBalanceEquations) {
-    SdfAnalysis multirate = analyze_sdf(multirate_graph());
-    EXPECT_TRUE(multirate.consistent);
-    EXPECT_FALSE(multirate.homogeneous);
-    ASSERT_EQ(multirate.repetition.size(), 2u);
-    EXPECT_EQ(multirate.repetition[0], 1u);
-    EXPECT_EQ(multirate.repetition[1], 2u);
-
-    taskgraph::TaskGraph unit = taskgraph::chain_graph(3, 1.0, 1.0);
-    SdfAnalysis homogeneous = analyze_sdf(unit);
-    EXPECT_TRUE(homogeneous.consistent);
-    EXPECT_TRUE(homogeneous.homogeneous);
-
-    // Triangle with disagreeing rate products: no repetition vector exists.
-    taskgraph::TaskGraph bad;
-    taskgraph::TaskIndex a = bad.add_task("A");
-    taskgraph::TaskIndex b = bad.add_task("B");
-    taskgraph::TaskIndex c = bad.add_task("C");
-    bad.add_edge(a, b, 1.0);
-    bad.add_edge(b, c, 1.0, /*produce=*/2, /*consume=*/1);
-    bad.add_edge(a, c, 1.0);
-    SdfAnalysis inconsistent = analyze_sdf(bad);
-    EXPECT_FALSE(inconsistent.consistent);
-    EXPECT_FALSE(inconsistent.homogeneous);
-    EXPECT_NE(inconsistent.reason.find("inconsistent"), std::string::npos);
-}
-
-TEST(SimBackend, TaskGraphRejectsBadRates) {
-    taskgraph::TaskGraph g;
-    taskgraph::TaskIndex a = g.add_task("A");
-    taskgraph::TaskIndex b = g.add_task("B");
-    EXPECT_THROW(g.add_edge(a, b, 1.0, /*produce=*/0, /*consume=*/1),
-                 std::invalid_argument);
-    g.add_edge(a, b, 1.0, 2, 1);
-    // Merging parallel edges must agree on the rate signature.
-    EXPECT_THROW(g.add_edge(a, b, 1.0, 1, 1), std::invalid_argument);
-    g.add_edge(a, b, 2.0, 2, 1);  // same rates: costs accumulate
-    EXPECT_EQ(g.edge_count(), 1u);
-    EXPECT_EQ(g.edges()[0].cost, 3.0);
-    EXPECT_FALSE(g.unit_rate());
-}
-
 TEST(SimBackend, SimulateBackendConvenienceMatchesOneShot) {
     taskgraph::TaskGraph g = taskgraph::fork_join_graph(2, 2, 1.0, 4.0);
     taskgraph::Clustering linear = taskgraph::linear_clustering(g);
-    expect_same_result(simulate_backend(g, linear, MpsocParams{}, "sdf"),
-                       simulate_mpsoc(g, linear));
+    expect_same_result(
+        simulate_backend(g, linear, MpsocParams{}, "dynamic-fifo"),
+        simulate_mpsoc(g, linear));
     expect_same_result(simulate_backend(g, linear, MpsocParams{}, ""),
                        simulate_mpsoc(g, linear));
     EXPECT_THROW(simulate_backend(g, linear, MpsocParams{}, "bogus"),
+                 std::invalid_argument);
+    EXPECT_THROW(simulate_backend(g, linear, MpsocParams{}, "sdf"),
                  std::invalid_argument);
 }
 

@@ -46,11 +46,8 @@
 //                        (0 = all hardware threads; results are identical
 //                        for any value)
 //   --sim-backend <name> explore/generate: simulation backend pricing the
-//                        cost model — dynamic-fifo (default reference
-//                        engine), analytic (closed-form lower bound), sdf
-//                        (static-schedule pricing; falls back to
-//                        dynamic-fifo with a sim.backend-fallback warning
-//                        when the task graph is not single-rate)
+//                        cost model — dynamic-fifo (default, the exact
+//                        engine) or analytic (closed-form lower bound)
 //   --mutations <n>      fuzz-xmi: number of mutants to run (default 70)
 //   --seed <n>           fuzz-xmi: deterministic corpus seed (default 1)
 //
@@ -274,15 +271,10 @@ int usage(const char* argv0) {
            "                          0 = default; results are identical)\n"
            "         --dse-verify-full (explore: re-simulate every unique\n"
            "                            clustering from scratch and assert\n"
-           "                            the incremental metrics match; on an\n"
-           "                            exact non-default backend also cross-\n"
-           "                            check makespans against dynamic-fifo)\n"
+           "                            the incremental metrics match)\n"
            "         --sim-backend <name> (explore/generate: cost-model\n"
-           "                          backend: dynamic-fifo (default),\n"
-           "                          analytic (fast lower bound), sdf\n"
-           "                          (static schedule; falls back with a\n"
-           "                          sim.backend-fallback warning when the\n"
-           "                          task graph is not single-rate))\n"
+           "                          backend: dynamic-fifo (default, exact)\n"
+           "                          or analytic (fast lower bound))\n"
            "         --iterations <n> (threads command)\n"
            "         --mutations <n> --seed <n> (fuzz-xmi command)\n"
            "         --checkpoint-ttl-s <n> --checkpoint-max <n>\n"
@@ -779,16 +771,12 @@ int cmd_explore(const uml::Model& model, const Cli& cli,
     }
     std::cout << dse::format(result);
     const dse::ExploreStats& s = result.stats;
-    std::cout << "backend: " << s.backend;
-    if (s.effective_backend != s.backend)
-        std::cout << " (fell back to " << s.effective_backend << ")";
-    std::cout << '\n';
+    std::cout << "backend: " << s.backend << '\n';
     std::cout << "evaluated with jobs=" << s.jobs << ": " << s.simulations
               << " simulated, " << s.duplicates_skipped
               << " duplicate clustering(s) skipped, " << s.cache_hits
               << " cache hit(s)\n"
-              << "incremental: " << s.partial_reuse
-              << " partial(s) reused, " << s.prefix_tasks_reused
+              << "incremental: " << s.prefix_tasks_reused
               << " schedule position(s) replayed across " << s.chunks
               << " chunk(s)\n";
     if (s.verified)
