@@ -113,7 +113,7 @@ void BM_FullPipeline(benchmark::State& state) {
     core::MapperOptions options;
     options.auto_allocate = true;
     for (auto _ : state) {
-        std::string mdl = core::generate_mdl(app, options);
+        std::string mdl = simulink::write_mdl(core::map_to_caam(app, options));
         benchmark::DoNotOptimize(mdl.data());
     }
     state.SetComplexityN(state.range(0));

@@ -9,6 +9,7 @@
 #include "core/pipeline.hpp"
 #include "sim/engine.hpp"
 #include "simulink/caam.hpp"
+#include "simulink/generic.hpp"
 #include "simulink/mdl.hpp"
 
 namespace {
@@ -60,13 +61,12 @@ BENCHMARK(BM_SyntheticFullFlow);
 void BM_SyntheticChannelInference(benchmark::State& state) {
     uml::Model syn = cases::synthetic_model();
     core::CommModel comm = core::analyze_communication(syn);
-    core::MapperOptions bare;
-    bare.auto_allocate = true;
-    bare.infer_channels = false;
-    bare.insert_delays = false;
+    // The channel-less input of §4.2.1: the lifted step-2 CAAM.
+    core::MappingOutput mapped =
+        core::run_mapping(syn, comm, core::auto_allocate(syn, comm));
     for (auto _ : state) {
         state.PauseTiming();
-        simulink::Model caam = core::map_to_caam(syn, bare);
+        simulink::Model caam = simulink::from_generic(mapped.caam);
         state.ResumeTiming();
         core::ChannelReport report = core::infer_channels(caam, comm);
         benchmark::DoNotOptimize(report.inter_channels);

@@ -10,9 +10,9 @@
 // Step 1 (building the UML model) is the designer's: the uml::ModelBuilder
 // or an XMI file.
 //
-// Since the flow-layer refactor these entry points are thin wrappers over
-// the pass pipeline in flow/caam_passes.hpp (library: uhcg_flow); the
-// individual steps are observable passes with per-stage metrics there.
+// Both entry points run the one pass pipeline in flow/caam_passes.hpp
+// (library: uhcg_flow), so the individual steps are observable passes with
+// per-stage metrics there. Step 4 is simulink::write_mdl on the result.
 #pragma once
 
 #include <optional>
@@ -37,8 +37,6 @@ struct MapperOptions {
     bool auto_allocate = false;
     /// Processor budget for auto allocation; 0 = let the algorithm decide.
     std::size_t max_processors = 0;
-    /// §4.2.1: infer and instantiate communication channels.
-    bool infer_channels = true;
     /// §4.2.2: detect cyclic paths and insert UnitDelay barriers.
     bool insert_delays = true;
     /// Reject models whose uml::check finds errors (warnings always pass).
@@ -54,8 +52,8 @@ struct MapperReport {
     ChannelReport channels;
     DelayReport delays;
     /// Every diagnostic this run reported — the DiagnosticEngine slice for
-    /// the pipeline invocation (also populated by the throwing variants,
-    /// which collect through an internal engine). The single source of
+    /// the pipeline invocation (also populated by the throwing variant,
+    /// which collects through an internal engine). The single source of
     /// truth for warnings.
     std::vector<diag::Diagnostic> diagnostics;
     /// Legacy warning strings, derived from `diagnostics` (severity
@@ -64,31 +62,23 @@ struct MapperReport {
     std::vector<std::string> warnings() const;
 };
 
-/// Runs steps 2–3 and returns the synthesizable CAAM.
-/// Throws std::runtime_error on ill-formed input models.
-simulink::Model map_to_caam(const uml::Model& model,
-                            const MapperOptions& options = {},
-                            MapperReport* report = nullptr);
-
-/// Full front-to-back convenience: steps 2–4, returning the .mdl text.
-std::string generate_mdl(const uml::Model& model,
-                         const MapperOptions& options = {},
-                         MapperReport* report = nullptr);
-
-/// Diagnostic-engine variants: every issue any stage finds (§4.1
-/// well-formedness, mapping-rule warnings, channel inference, CAAM
-/// validation) is reported through `engine`; the run aborts — returning
-/// nullopt — only when a diagnostic of severity >= Error was recorded and
-/// options.enforce_wellformedness is set. They never throw on bad models,
-/// so a driver can surface *all* problems from one pass.
+/// Runs steps 2–3 and returns the synthesizable CAAM. Every issue any
+/// stage finds (§4.1 well-formedness, mapping-rule warnings, channel
+/// inference, CAAM validation) is reported through `engine`; the run aborts
+/// — returning nullopt — only when a stage failed: an Error with
+/// options.enforce_wellformedness set, or an exception inside a stage
+/// (reported as map.internal). It never throws on bad models, so a driver
+/// can surface *all* problems from one pass.
 std::optional<simulink::Model> map_to_caam(const uml::Model& model,
                                            const MapperOptions& options,
                                            diag::DiagnosticEngine& engine,
                                            MapperReport* report = nullptr);
 
-std::optional<std::string> generate_mdl(const uml::Model& model,
-                                        const MapperOptions& options,
-                                        diag::DiagnosticEngine& engine,
-                                        MapperReport* report = nullptr);
+/// The same run on an internal engine: returns the CAAM, or throws
+/// std::runtime_error whose what() is the engine's rendered diagnostics
+/// (each line names its code, e.g. [uml.E1] or [caam.invalid]).
+simulink::Model map_to_caam(const uml::Model& model,
+                            const MapperOptions& options = {},
+                            MapperReport* report = nullptr);
 
 }  // namespace uhcg::core

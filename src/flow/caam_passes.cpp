@@ -4,22 +4,20 @@
 
 #include "simulink/caam.hpp"
 #include "simulink/generic.hpp"
-#include "simulink/mdl.hpp"
 #include "uml/wellformed.hpp"
 
 namespace uhcg::flow {
 
-void register_caam_passes(PassManager& pm, const core::MapperOptions& options,
-                          CaamPipelineMode mode) {
-    const bool engine_mode = mode == CaamPipelineMode::Engine;
-    pm.set_trap_exceptions(engine_mode);
+namespace {
+
+void register_caam_passes(PassManager& pm, const core::MapperOptions& options) {
     pm.set_internal_error_code(diag::codes::kMapInternal);
 
     // Gate: the conventions of §4.1 must hold or the mapping mis-wires.
     // All issues are collected before deciding whether to abort, so a model
     // with three independent defects yields three diagnostics in one run.
     pm.add(Pass("uml.wellformed",
-                [options, engine_mode](PassContext& ctx) {
+                [options](PassContext& ctx) {
                     const uml::Model& model = *ctx.in<SourceModel>().model;
                     auto issues = uml::check(model);
                     ctx.count("issues", issues.size());
@@ -34,9 +32,6 @@ void register_caam_passes(PassManager& pm, const core::MapperOptions& options,
                     }
                     bool gate = options.enforce_wellformedness &&
                                 !uml::only_warnings(issues);
-                    if (gate && !engine_mode)
-                        throw std::runtime_error("UML model is ill-formed:\n" +
-                                                 uml::format_issues(issues));
                     ctx.out(WellformedReport{std::move(issues)});
                     if (gate) ctx.fail();
                 })
@@ -100,24 +95,20 @@ void register_caam_passes(PassManager& pm, const core::MapperOptions& options,
            .writes<simulink::Model>());
 
     // Step 3: optimizations (both mutate the CAAM in place, hence barriers).
-    if (options.infer_channels) {
-        pm.add(Pass("caam.channels",
-                    [](PassContext& ctx) {
-                        core::ChannelReport& report =
-                            ctx.out(core::infer_channels(
-                                ctx.inout<simulink::Model>(),
-                                ctx.in<core::CommModel>()));
-                        ctx.count("intra", report.intra_channels);
-                        ctx.count("inter", report.inter_channels);
-                        ctx.count("system-ports",
-                                  report.system_inputs + report.system_outputs);
-                        for (const std::string& w : report.warnings)
-                            ctx.diags().warning(diag::codes::kMapChannels, w);
-                    })
-               .reads<simulink::Model>()
-               .reads<core::CommModel>()
-               .writes<core::ChannelReport>());
-    }
+    pm.add(Pass("caam.channels",
+                [](PassContext& ctx) {
+                    core::ChannelReport& report = ctx.out(core::infer_channels(
+                        ctx.inout<simulink::Model>(), ctx.in<core::CommModel>()));
+                    ctx.count("intra", report.intra_channels);
+                    ctx.count("inter", report.inter_channels);
+                    ctx.count("system-ports",
+                              report.system_inputs + report.system_outputs);
+                    for (const std::string& w : report.warnings)
+                        ctx.diags().warning(diag::codes::kMapChannels, w);
+                })
+           .reads<simulink::Model>()
+           .reads<core::CommModel>()
+           .writes<core::ChannelReport>());
     if (options.insert_delays) {
         pm.add(Pass("caam.delays",
                     [](PassContext& ctx) {
@@ -131,47 +122,27 @@ void register_caam_passes(PassManager& pm, const core::MapperOptions& options,
                .runs_after("caam.channels"));
     }
 
-    // Conformance of the produced CAAM before handing it onward. The
-    // legacy throwing surface never validated; keep that contract.
-    if (engine_mode) {
-        pm.add(Pass("caam.validate",
-                    [options](PassContext& ctx) {
-                        const simulink::Model& caam = ctx.in<simulink::Model>();
-                        auto problems = simulink::validate_caam(caam);
-                        ctx.count("problems", problems.size());
-                        for (const std::string& p : problems)
-                            ctx.diags().error(diag::codes::kCaamInvalid, p);
-                        // Gate on this CAAM's own problems, not the whole
-                        // engine: under quarantine another subsystem's
-                        // failure must not fail this one.
-                        if (!problems.empty() &&
-                            options.enforce_wellformedness)
-                            ctx.fail();
-                    })
-               .reads<simulink::Model>()
-               .runs_after("caam.channels")
-               .runs_after("caam.delays"));
-    }
-}
-
-void register_mdl_emit_pass(PassManager& pm, const core::MapperOptions&) {
-    // Step 4: model-to-text.
-    pm.add(Pass("simulink.emit",
-                [](PassContext& ctx) {
-                    MdlText& mdl = ctx.out(
-                        MdlText{simulink::write_mdl(ctx.in<simulink::Model>())});
-                    ctx.count("bytes", mdl.text.size());
+    // Conformance of the produced CAAM before handing it onward.
+    pm.add(Pass("caam.validate",
+                [options](PassContext& ctx) {
+                    const simulink::Model& caam = ctx.in<simulink::Model>();
+                    auto problems = simulink::validate_caam(caam);
+                    ctx.count("problems", problems.size());
+                    for (const std::string& p : problems)
+                        ctx.diags().error(diag::codes::kCaamInvalid, p);
+                    // Gate on this CAAM's own problems, not the whole
+                    // engine: under quarantine another subsystem's failure
+                    // must not fail this one.
+                    if (!problems.empty() && options.enforce_wellformedness)
+                        ctx.fail();
                 })
            .reads<simulink::Model>()
-           .writes<MdlText>()
            .runs_after("caam.channels")
-           .runs_after("caam.delays")
-           .runs_after("caam.validate")
-           // Present only in the resilient generate pipeline; ignored by
-           // the legacy wrappers, which never register the probe.
-           .runs_after("sim.schedulability"));
+           .runs_after("caam.delays"));
 }
 
+/// Assembles the MapperReport from the store plus the diagnostics `engine`
+/// recorded since `first_diagnostic` (the run's slice).
 void fill_mapper_report(core::MapperReport& report, const ArtifactStore& store,
                         const diag::DiagnosticEngine& engine,
                         std::size_t first_diagnostic) {
@@ -187,4 +158,57 @@ void fill_mapper_report(core::MapperReport& report, const ArtifactStore& store,
     report.diagnostics.assign(diags.begin() + first_diagnostic, diags.end());
 }
 
+}  // namespace
+
+std::optional<simulink::Model> run_caam_pipeline(
+    PassManager& pm, const uml::Model& model,
+    const core::MapperOptions& options, diag::DiagnosticEngine& engine,
+    core::MapperReport& report, FlowTrace* trace, const std::string& group,
+    const std::function<void(PassManager&)>& extend) {
+    register_caam_passes(pm, options);
+    if (extend) extend(pm);
+    const std::size_t first_diag = engine.size();
+    ArtifactStore store;
+    store.put(SourceModel{&model});
+    auto run = pm.run(store, engine, trace, group);
+    fill_mapper_report(report, store, engine, first_diag);
+    simulink::Model* caam = store.get<simulink::Model>();
+    if (!run.ok || !caam) return std::nullopt;
+    return std::move(*caam);
+}
+
 }  // namespace uhcg::flow
+
+namespace uhcg::core {
+
+std::vector<std::string> MapperReport::warnings() const {
+    std::vector<std::string> out;
+    for (const diag::Diagnostic& d : diagnostics) {
+        if (d.severity != diag::Severity::Warning) continue;
+        if (d.code.rfind("uml.", 0) == 0)
+            out.push_back("uml: " + d.message);
+        else
+            out.push_back(d.message);
+    }
+    return out;
+}
+
+std::optional<simulink::Model> map_to_caam(const uml::Model& model,
+                                           const MapperOptions& options,
+                                           diag::DiagnosticEngine& engine,
+                                           MapperReport* report) {
+    MapperReport local;
+    flow::PassManager pm("core.pipeline");
+    return flow::run_caam_pipeline(pm, model, options, engine,
+                                   report ? *report : local);
+}
+
+simulink::Model map_to_caam(const uml::Model& model, const MapperOptions& options,
+                            MapperReport* report) {
+    diag::DiagnosticEngine engine;
+    auto caam = map_to_caam(model, options, engine, report);
+    if (!caam) throw std::runtime_error(engine.render_text());
+    return std::move(*caam);
+}
+
+}  // namespace uhcg::core

@@ -1,7 +1,5 @@
-// caam_passes.hpp — the Fig. 2 steps 2–4 re-expressed as flow passes.
-//
-// The former core/pipeline monolith becomes individual passes over the
-// artifact store:
+// caam_passes.hpp — the Fig. 2 steps 2–3 as flow passes: the one CAAM
+// mapping pipeline behind core::map_to_caam and the generate dispatcher.
 //
 //   uml.wellformed   §4.1 convention checks (gate)
 //   core.comm        communication analysis over sequence diagrams
@@ -10,16 +8,16 @@
 //   caam.lift        generic CAAM → typed simulink::Model
 //   caam.channels    §4.2.1 channel inference (in place)
 //   caam.delays      §4.2.2 temporal-barrier insertion (in place)
-//   caam.validate    CAAM conformance gate (engine mode only)
-//   simulink.emit    step 4 model-to-text (.mdl), when requested
+//   caam.validate    CAAM conformance gate
 //
-// Two modes preserve the two historical pipeline surfaces byte-for-byte:
-// Engine mode collects every issue as diagnostics and fails softly (the
-// recovering CLI behaviour); Throwing mode throws on ill-formed input and
-// propagates mapping exceptions (the library convenience behaviour, which
-// also skips CAAM validation).
+// Every run validates the CAAM and reports through a DiagnosticEngine;
+// an exception escaping a pass becomes a map.internal diagnostic. The
+// throwing core::map_to_caam is this run on an internal engine plus a
+// throw.
 #pragma once
 
+#include <functional>
+#include <optional>
 #include <string>
 
 #include "core/pipeline.hpp"
@@ -37,11 +35,6 @@ struct SourceModel {
 /// §4.1 well-formedness issues, kept for report assembly.
 struct WellformedReport {
     std::vector<uml::Issue> issues;
-};
-
-/// The emitted .mdl text (produced by the "simulink.emit" pass).
-struct MdlText {
-    std::string text;
 };
 
 template <>
@@ -76,32 +69,18 @@ template <>
 struct ArtifactTraits<core::DelayReport> {
     static constexpr const char* name = "caam.delay-report";
 };
-template <>
-struct ArtifactTraits<MdlText> {
-    static constexpr const char* name = "simulink.mdl";
-};
 
-enum class CaamPipelineMode {
-    /// Report through the DiagnosticEngine, fail softly, validate the CAAM.
-    Engine,
-    /// Throw std::runtime_error on ill-formed models, propagate exceptions,
-    /// skip validation — the legacy library surface.
-    Throwing,
-};
-
-/// Registers the steps 2–3 passes (through caam.delays/caam.validate).
-/// `options` gates the optional optimization passes exactly as the
-/// monolith did.
-void register_caam_passes(PassManager& pm, const core::MapperOptions& options,
-                          CaamPipelineMode mode);
-
-/// Additionally registers the step-4 "simulink.emit" pass producing MdlText.
-void register_mdl_emit_pass(PassManager& pm, const core::MapperOptions& options);
-
-/// Assembles the legacy MapperReport from the store plus the diagnostics
-/// `engine` recorded since `first_diagnostic` (the run's slice).
-void fill_mapper_report(core::MapperReport& report, const ArtifactStore& store,
-                        const diag::DiagnosticEngine& engine,
-                        std::size_t first_diagnostic);
+/// Runs the steps 2–3 pipeline for `model` on `pm`: registers the mapping
+/// passes, then whatever `extend` adds (compute_shared_caam's
+/// schedulability probe and cost estimate), and runs them against a fresh
+/// store, tracing under `group`. `report` receives the run's artifacts and
+/// its slice of `engine`. Returns the CAAM when every pass succeeded,
+/// nullopt otherwise (`engine` says why).
+std::optional<simulink::Model> run_caam_pipeline(
+    PassManager& pm, const uml::Model& model,
+    const core::MapperOptions& options, diag::DiagnosticEngine& engine,
+    core::MapperReport& report, FlowTrace* trace = nullptr,
+    const std::string& group = {},
+    const std::function<void(PassManager&)>& extend = {});
 
 }  // namespace uhcg::flow

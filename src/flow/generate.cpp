@@ -31,7 +31,6 @@ std::string options_fingerprint(const GenerateOptions& options) {
     std::ostringstream out;
     out << "auto=" << options.mapper.auto_allocate
         << "|maxp=" << options.mapper.max_processors
-        << "|chan=" << options.mapper.infer_channels
         << "|delay=" << options.mapper.insert_delays
         << "|wf=" << options.mapper.enforce_wellformedness
         << "|iters=" << options.iterations
@@ -122,7 +121,6 @@ GenerateResult generate(const uml::Model& model, const GenerateOptions& options_
            .writes<PartitionReport>());
     auto run = pm.run(store, engine, trace, "partition");
     if (!run.ok || !store.has<PartitionReport>()) {
-        result.ok = false;
         result.status = GenerateStatus::Failed;
         return result;
     }
@@ -379,7 +377,6 @@ GenerateResult generate(const uml::Model& model, const GenerateOptions& options_
         result.status = GenerateStatus::Partial;
     else
         result.status = GenerateStatus::Failed;
-    result.ok = result.status == GenerateStatus::Ok;
     return result;
 }
 

@@ -90,9 +90,6 @@ struct GenerateResult {
     std::vector<StrategyResult> results;
     std::vector<QuarantineRecord> quarantined;
     GenerateStatus status = GenerateStatus::Ok;
-    /// False when the partition pass or any dispatched strategy failed
-    /// (kept for callers predating the three-valued status).
-    bool ok = true;
 };
 
 /// Partitions `model`, dispatches each subsystem to its strategies and

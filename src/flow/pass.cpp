@@ -226,20 +226,14 @@ PassManager::RunResult PassManager::run(ArtifactStore& store,
                 // covers every layer the pass managers orchestrate. Scoped
                 // to the attempt only — backoff sleeps stay outside.
                 obs::ObsSpan attempt_span(pass->name);
-                if (trap_exceptions_) {
-                    try {
-                        fault::Injector::instance().fire(
-                            group_prefix + pass->name, ctx);
-                        if (!ctx.failed()) pass->run(ctx);
-                    } catch (const std::exception& e) {
-                        engine.report(diag::Severity::Fatal, internal_code_,
-                                      e.what());
-                        ctx.fail();
-                    }
-                } else {
+                try {
                     fault::Injector::instance().fire(group_prefix + pass->name,
                                                      ctx);
                     if (!ctx.failed()) pass->run(ctx);
+                } catch (const std::exception& e) {
+                    engine.report(diag::Severity::Fatal, internal_code_,
+                                  e.what());
+                    ctx.fail();
                 }
             }
             auto stop = std::chrono::steady_clock::now();

@@ -303,10 +303,8 @@ public:
     const std::string& name() const { return name_; }
     std::size_t pass_count() const { return passes_.size(); }
 
-    /// Exceptions escaping a pass body: trapped (default) they become a
-    /// Fatal diagnostic carrying `internal_error_code` and fail the run;
-    /// untrapped they propagate to the caller.
-    void set_trap_exceptions(bool trap) { trap_exceptions_ = trap; }
+    /// Exceptions escaping a pass body become a Fatal diagnostic carrying
+    /// `internal_error_code` and fail the run.
     void set_internal_error_code(std::string code) {
         internal_code_ = std::move(code);
     }
@@ -330,14 +328,13 @@ public:
     /// Runs the scheduled passes against `store`, reporting through
     /// `engine` and appending one PassTraceEntry per executed pass to
     /// `trace` (labelled `group`) when given. Stops after a pass that
-    /// called PassContext::fail() or raised a trapped exception.
+    /// called PassContext::fail() or raised an exception.
     RunResult run(ArtifactStore& store, diag::DiagnosticEngine& engine,
                   FlowTrace* trace = nullptr, const std::string& group = {});
 
 private:
     std::string name_;
     std::vector<Pass> passes_;
-    bool trap_exceptions_ = true;
     std::string internal_code_ = "flow.internal";
     RetryPolicy retry_;
     PassBudget budget_;

@@ -28,6 +28,11 @@ struct SharedCaamRef {
     const SharedCaam* shared = nullptr;
 };
 
+/// The .mdl text emitted from the shared CAAM (simulink-caam).
+struct MdlText {
+    std::string text;
+};
+
 /// The per-CPU C program emitted from the shared CAAM (caam-c).
 struct CaamCProgram {
     codegen::GeneratedProgram program;
@@ -45,6 +50,10 @@ struct ArtifactTraits<SourceMachine> {
 template <>
 struct ArtifactTraits<SharedCaamRef> {
     static constexpr const char* name = "caam.shared";
+};
+template <>
+struct ArtifactTraits<MdlText> {
+    static constexpr const char* name = "simulink.mdl";
 };
 template <>
 struct ArtifactTraits<CaamCProgram> {
@@ -107,24 +116,7 @@ void register_schedulability_probe(PassManager& pm, std::size_t sim_steps) {
                             if (r.budget_exhausted) ctx.fail();
                         }
                     } catch (const sim::DeadlockError& e) {
-                        std::vector<std::string> notes;
-                        std::string joined;
-                        for (const std::string& b : e.cycle())
-                            joined += (joined.empty() ? "" : ", ") + b;
-                        notes.push_back("blocked block(s): " + joined);
-                        for (const sim::CycleEdge& edge : e.edges())
-                            notes.push_back("combinational dependency: " +
-                                            edge.from + " -> " + edge.to);
-                        notes.push_back(
-                            "insert a temporal barrier (UnitDelay) on the "
-                            "loop — §4.2.2");
-                        ctx.diags().report(
-                            diag::Severity::Error, diag::codes::kSimDeadlock,
-                            "generated CAAM has a combinational cycle "
-                            "through " +
-                                std::to_string(e.cycle().size()) +
-                                " block(s) — dataflow deadlock",
-                            {}, std::move(notes));
+                        report_caam_deadlock(e, ctx.diags());
                         ctx.fail();
                     } catch (const std::exception&) {
                         // S-functions the empty probe registry cannot bind;
@@ -181,27 +173,6 @@ void register_estimate_pass(PassManager& pm, std::string backend) {
            .runs_after("caam.validate"));
 }
 
-/// Shared prelude of every caam-family emitter: resolve the dispatcher's
-/// SharedCaam, or compute a private one for standalone strategy calls.
-/// Returns nullptr (with `result.ok = false`) when the mapping failed —
-/// the emitter then returns its result untouched and the dispatcher
-/// quarantines it with the prep's diagnostics.
-const SharedCaam* resolve_shared_caam(const StrategyContext& context,
-                                      diag::DiagnosticEngine& engine,
-                                      FlowTrace* trace, SharedCaam& local,
-                                      StrategyResult& result) {
-    const SharedCaam* shared = context.shared_caam;
-    if (shared == nullptr) {
-        local = compute_shared_caam(context, engine, trace);
-        shared = &local;
-    }
-    if (!shared->ok) {
-        result.ok = false;
-        return nullptr;
-    }
-    return shared;
-}
-
 /// Dataflow branch: steps 2–4 ending in .mdl text. The mapping (steps
 /// 2–3) lives in the SharedCaam; this strategy only runs the step-4
 /// model-to-text pass, so the same analysis feeds caam-c and caam-dot
@@ -220,19 +191,15 @@ public:
         result.strategy = std::string(name());
         result.subsystem = context.subsystem->name;
 
-        SharedCaam local;
-        const SharedCaam* shared =
-            resolve_shared_caam(context, engine, trace, local, result);
-        // The legacy report travels with the mdl result whether or not the
+        // The mapping report travels with the mdl result whether or not the
         // mapping succeeded — cmd_generate --report prints it either way.
-        if (context.shared_caam)
-            result.mapper_report = context.shared_caam->mapper_report;
-        else
-            result.mapper_report = local.mapper_report;
-        if (!shared) return result;
+        const SharedCaam& shared = *context.shared_caam;
+        result.mapper_report = shared.mapper_report;
+        result.ok = shared.ok;
+        if (!shared.ok) return result;
 
         ArtifactStore store;
-        store.put(SharedCaamRef{shared});
+        store.put(SharedCaamRef{&shared});
         PassManager pm("simulink-caam");
         apply_resilience(pm, context);
         pm.add(Pass("simulink.emit",
@@ -271,13 +238,12 @@ public:
         result.strategy = std::string(name());
         result.subsystem = context.subsystem->name;
 
-        SharedCaam local;
-        const SharedCaam* shared =
-            resolve_shared_caam(context, engine, trace, local, result);
-        if (!shared) return result;
+        const SharedCaam& shared = *context.shared_caam;
+        result.ok = shared.ok;
+        if (!shared.ok) return result;
 
         ArtifactStore store;
-        store.put(SharedCaamRef{shared});
+        store.put(SharedCaamRef{&shared});
         PassManager pm("caam-c");
         apply_resilience(pm, context);
         pm.add(Pass("caam.emit-c",
@@ -323,13 +289,12 @@ public:
         result.strategy = std::string(name());
         result.subsystem = context.subsystem->name;
 
-        SharedCaam local;
-        const SharedCaam* shared =
-            resolve_shared_caam(context, engine, trace, local, result);
-        if (!shared) return result;
+        const SharedCaam& shared = *context.shared_caam;
+        result.ok = shared.ok;
+        if (!shared.ok) return result;
 
         ArtifactStore store;
-        store.put(SharedCaamRef{shared});
+        store.put(SharedCaamRef{&shared});
         PassManager pm("caam-dot");
         apply_resilience(pm, context);
         pm.add(Pass("caam.emit-dot",
@@ -560,23 +525,39 @@ SharedCaam compute_shared_caam(const StrategyContext& context,
                                diag::DiagnosticEngine& engine,
                                FlowTrace* trace) {
     SharedCaam shared;
-    const std::size_t first_diag = engine.size();
-    ArtifactStore store;
-    store.put(SourceModel{context.model});
     PassManager pm("simulink-caam");
     apply_resilience(pm, context);
-    register_caam_passes(pm, context.mapper, CaamPipelineMode::Engine);
-    register_schedulability_probe(pm, context.sim_steps);
-    register_estimate_pass(pm, context.sim_backend);
-    auto run = pm.run(store, engine, trace,
-                      group_label("simulink-caam", *context.subsystem));
-    fill_mapper_report(shared.mapper_report, store, engine, first_diag);
+    auto caam = run_caam_pipeline(
+        pm, *context.model, context.mapper, engine, shared.mapper_report, trace,
+        group_label("simulink-caam", *context.subsystem),
+        [&context](PassManager& p) {
+            register_schedulability_probe(p, context.sim_steps);
+            register_estimate_pass(p, context.sim_backend);
+        });
     obs::counter("flow.caam_shared_computed").add(1);
-    if (simulink::Model* caam = store.get<simulink::Model>()) {
+    if (caam) {
         shared.caam = std::move(*caam);
-        shared.ok = run.ok;
+        shared.ok = true;
     }
     return shared;
+}
+
+void report_caam_deadlock(const sim::DeadlockError& error,
+                          diag::DiagnosticEngine& engine) {
+    std::string joined;
+    for (const std::string& b : error.cycle())
+        joined += (joined.empty() ? "" : ", ") + b;
+    std::vector<std::string> notes;
+    notes.push_back("blocked block(s): " + joined);
+    for (const sim::CycleEdge& edge : error.edges())
+        notes.push_back("combinational dependency: " + edge.from + " -> " +
+                        edge.to);
+    notes.push_back("insert a temporal barrier (UnitDelay) on the loop — §4.2.2");
+    engine.report(diag::Severity::Error, diag::codes::kSimDeadlock,
+                  "generated CAAM has a combinational cycle through " +
+                      std::to_string(error.cycle().size()) +
+                      " block(s) — dataflow deadlock",
+                  {}, std::move(notes));
 }
 
 StrategyRegistry& StrategyRegistry::add(std::unique_ptr<Strategy> strategy) {

@@ -29,6 +29,10 @@
 #include "flow/pass.hpp"
 #include "simulink/model.hpp"
 
+namespace uhcg::sim {
+class DeadlockError;
+}
+
 namespace uhcg::flow {
 
 /// The per-subsystem CAAM mapping result (steps 2–3 plus the
@@ -64,8 +68,8 @@ struct StrategyContext {
     /// (sim.estimate); empty = sim::kDefaultBackend.
     std::string sim_backend;
     /// Shared mapping for the caam-family emitters, owned by the
-    /// dispatcher. Null for non-caam strategies and for standalone
-    /// strategy calls — a caam emitter then computes a private mapping.
+    /// dispatcher: a required input of simulink-caam, caam-c and caam-dot,
+    /// null for every other strategy.
     const SharedCaam* shared_caam = nullptr;
 };
 
@@ -77,6 +81,12 @@ struct StrategyContext {
 SharedCaam compute_shared_caam(const StrategyContext& context,
                                diag::DiagnosticEngine& engine,
                                FlowTrace* trace);
+
+/// Reports a combinational cycle found in a generated CAAM as the
+/// structured sim.deadlock error — the blocked blocks and each dependency
+/// edge as notes. Shared by the sim.schedulability probe and `uhcg map`.
+void report_caam_deadlock(const sim::DeadlockError& error,
+                          diag::DiagnosticEngine& engine);
 
 struct GeneratedFile {
     std::string name;

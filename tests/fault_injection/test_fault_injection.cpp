@@ -10,6 +10,7 @@
 #include "diag/mutate.hpp"
 #include "kpn/execute.hpp"
 #include "kpn/from_uml.hpp"
+#include "simulink/mdl.hpp"
 #include "uml/xmi.hpp"
 
 using namespace uhcg;
@@ -22,7 +23,8 @@ bool run_mutant(const std::string& mutant, diag::DiagnosticEngine& engine) {
     try {
         uml::Model model = uml::from_xmi_string(mutant, engine, "<mutant>");
         if (!engine.has_errors())
-            (void)core::generate_mdl(model, {}, engine);
+            if (auto caam = core::map_to_caam(model, {}, engine))
+                (void)simulink::write_mdl(*caam);
         return true;
     } catch (const std::exception&) {
         return false;

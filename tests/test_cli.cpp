@@ -222,6 +222,55 @@ TEST_F(CliTest, DotWritesBothGraphs) {
 }
 
 // --- exit-code semantics: 0 = all units ok, 1 = diagnostics, 2 = usage,
+// --- the sim.deadlock probe: `map` and `generate` report one diagnostic.
+
+/// The rendered sim.deadlock diagnostic in `log`: its message line plus
+/// every note line after it; empty when absent.
+std::string deadlock_block(const std::string& log) {
+    std::size_t at = log.find("[sim.deadlock]");
+    if (at == std::string::npos) return {};
+    std::size_t begin = log.rfind('\n', at);
+    begin = begin == std::string::npos ? 0 : begin + 1;
+    std::size_t end = log.find('\n', at) + 1;
+    while (log.compare(end, 10, "    note: ") == 0)
+        end = log.find('\n', end) + 1;
+    return log.substr(begin, end - begin);
+}
+
+std::size_t count_of(const std::string& text, const std::string& needle) {
+    std::size_t n = 0;
+    for (std::size_t at = text.find(needle); at != std::string::npos;
+         at = text.find(needle, at + needle.size()))
+        ++n;
+    return n;
+}
+
+TEST_F(CliTest, NoDelaysMapAndGenerateReportTheSameDeadlock) {
+    std::string map_out, gen_out;
+    EXPECT_EQ(run_code("map crane.xmi -o cyclic.mdl --no-delays", &map_out), 1);
+    EXPECT_EQ(count_of(map_out, "[sim.deadlock]"), 1u) << map_out;
+    EXPECT_FALSE(fs::exists(dir / "cyclic.mdl"));
+    const std::string expected = deadlock_block(map_out);
+    ASSERT_NE(expected.find("generated CAAM has a combinational cycle"),
+              std::string::npos)
+        << map_out;
+    ASSERT_NE(expected.find("    note: insert a temporal barrier"),
+              std::string::npos)
+        << map_out;
+
+    EXPECT_EQ(run_code("generate crane.xmi --out gen_cyclic --no-delays",
+                       &gen_out),
+              3);
+    EXPECT_EQ(count_of(gen_out, "[sim.deadlock]"), 1u) << gen_out;
+    EXPECT_EQ(deadlock_block(gen_out), expected) << gen_out;
+}
+
+TEST_F(CliTest, NoChannelsIsAnUnknownOption) {
+    std::string out;
+    EXPECT_EQ(run_code("map crane.xmi --no-channels", &out), 2);
+    EXPECT_NE(out.find("unknown option: --no-channels"), std::string::npos);
+}
+
 // --- 3 = partial success (some units quarantined).
 
 TEST_F(CliTest, ExitZeroWhenEveryUnitSucceeds) {

@@ -115,15 +115,6 @@ TEST(ChannelInference, SetAndGetOnSameLinkDeduplicate) {
     EXPECT_TRUE(simulink::validate_caam(caam).empty());
 }
 
-TEST(ChannelInference, OptionalStepCanBeDisabled) {
-    MapperOptions options;
-    options.infer_channels = false;
-    options.insert_delays = false;
-    simulink::Model caam = map_to_caam(cases::didactic_model(), options);
-    EXPECT_TRUE(simulink::inter_cpu_channels(caam).empty());
-    EXPECT_TRUE(simulink::intra_cpu_channels(caam).empty());
-}
-
 TEST(SubsystemPortHelpers, GrowPortsAndWire) {
     simulink::Model m("m");
     Block& sub = m.root().add_subsystem("S");

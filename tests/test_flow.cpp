@@ -266,26 +266,38 @@ TEST(Partitioner, AllControlFlowModelClassifiesEveryMachine) {
     EXPECT_EQ(report.dominant, flow::SubsystemKind::ControlFlow);
 }
 
-// --- legacy wrapper fidelity --------------------------------------------------------
-
-TEST(PipelineCompat, EngineAndThrowingSurfacesAgree) {
-    core::MapperOptions options;
-    diag::DiagnosticEngine engine;
-    core::MapperReport engine_report;
-    auto via_engine = core::generate_mdl(cases::crane_model(), options, engine,
-                                         &engine_report);
-    ASSERT_TRUE(via_engine.has_value());
-    core::MapperReport throwing_report;
-    std::string via_throw =
-        core::generate_mdl(cases::crane_model(), options, &throwing_report);
-    EXPECT_EQ(*via_engine, via_throw);
-    EXPECT_EQ(engine_report.warnings(), throwing_report.warnings());
-    EXPECT_EQ(engine_report.delays.inserted, throwing_report.delays.inserted);
-}
+// --- mapping entry points ----------------------------------------------------------
 
 TEST(PipelineCompat, ThrowingSurfaceStillThrowsOnIllFormed) {
     uml::Model empty("hollow");
-    EXPECT_THROW(core::generate_mdl(empty, {}), std::runtime_error);
+    EXPECT_THROW(core::map_to_caam(empty, {}), std::runtime_error);
+
+    // A §4.1 violation: what() names the failing uml.* code.
+    uml::ModelBuilder b("bad");
+    b.thread("A");
+    b.thread("B");
+    b.seq("sd").message("A", "B", "notAConvention").arg("x");
+    b.cpu("CPU1");
+    b.deploy("A", "CPU1").deploy("B", "CPU1");
+    const uml::Model bad = b.take();
+    diag::DiagnosticEngine engine;
+    ASSERT_FALSE(core::map_to_caam(bad, {}, engine).has_value());
+    ASSERT_TRUE(engine.has_errors());
+    std::string code;
+    for (const diag::Diagnostic& d : engine.diagnostics())
+        if (d.severity >= diag::Severity::Error) {
+            code = d.code;
+            break;
+        }
+    ASSERT_EQ(code.rfind("uml.", 0), 0u) << code;
+    try {
+        (void)core::map_to_caam(bad, {});
+        FAIL() << "ill-formed model mapped without throwing";
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("[" + code + "]"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(PipelineCompat, WarningsViewDerivesFromDiagnostics) {
@@ -309,7 +321,7 @@ TEST(Generate, MixedModelProducesAllBranches) {
     flow::FlowTrace trace;
     flow::GenerateResult result =
         flow::generate(model, options, engine, &trace);
-    EXPECT_TRUE(result.ok);
+    EXPECT_EQ(result.status, flow::GenerateStatus::Ok);
 
     std::vector<std::string> files;
     for (const flow::StrategyResult& sr : result.results)
@@ -323,12 +335,29 @@ TEST(Generate, MixedModelProducesAllBranches) {
         << "no FSM C source among generated files";
     EXPECT_TRUE(has("mixed_threads.cpp"));
 
-    // The .mdl from the dispatcher equals the legacy wrapper's output.
-    std::string legacy = core::generate_mdl(cases::mixed_model(), {});
-    for (const flow::StrategyResult& sr : result.results)
-        if (sr.strategy == "simulink-caam")
-            for (const flow::GeneratedFile& f : sr.files)
-                if (f.name == "mixed.mdl") EXPECT_EQ(f.contents, legacy);
+    // On every case study the dispatcher's .mdl equals map_to_caam +
+    // write_mdl (generate switches to automatic allocation when the model
+    // ships no deployment diagram, so the direct call does too).
+    for (const uml::Model& m :
+         {cases::didactic_model(), cases::crane_model(),
+          cases::synthetic_model(), cases::mixed_model()}) {
+        diag::DiagnosticEngine case_engine;
+        flow::GenerateResult generated =
+            flow::generate(m, flow::GenerateOptions{}, case_engine);
+        core::MapperOptions mapper;
+        mapper.auto_allocate = m.deployment_or_null() == nullptr;
+        const std::string expected =
+            simulink::write_mdl(core::map_to_caam(m, mapper));
+        std::size_t compared = 0;
+        for (const flow::StrategyResult& sr : generated.results)
+            if (sr.strategy == "simulink-caam")
+                for (const flow::GeneratedFile& f : sr.files)
+                    if (f.name == m.name() + ".mdl") {
+                        EXPECT_EQ(f.contents, expected) << m.name();
+                        ++compared;
+                    }
+        EXPECT_EQ(compared, 1u) << m.name();
+    }
 }
 
 TEST(Generate, TraceJsonMatchesSchema) {
@@ -358,7 +387,7 @@ TEST(Generate, FsmStrategySkippedWithoutMachines) {
     flow::GenerateOptions options;
     diag::DiagnosticEngine engine;
     flow::GenerateResult result = flow::generate(model, options, engine);
-    EXPECT_TRUE(result.ok);
+    EXPECT_EQ(result.status, flow::GenerateStatus::Ok);
     for (const flow::StrategyResult& sr : result.results)
         EXPECT_NE(sr.strategy, "fsm-c");
 }
@@ -368,7 +397,7 @@ TEST(Generate, CaamEmittersShipCAndDotFromSharedMapping) {
     flow::GenerateOptions options;
     diag::DiagnosticEngine engine;
     flow::GenerateResult result = flow::generate(model, options, engine);
-    EXPECT_TRUE(result.ok);
+    EXPECT_EQ(result.status, flow::GenerateStatus::Ok);
 
     std::vector<std::string> files;
     for (const flow::StrategyResult& sr : result.results)
@@ -385,7 +414,7 @@ TEST(Generate, CaamEmittersShipCAndDotFromSharedMapping) {
     options.caam_dot = false;
     diag::DiagnosticEngine engine2;
     flow::GenerateResult trimmed = flow::generate(model, options, engine2);
-    EXPECT_TRUE(trimmed.ok);
+    EXPECT_EQ(trimmed.status, flow::GenerateStatus::Ok);
     for (const flow::StrategyResult& sr : trimmed.results) {
         EXPECT_NE(sr.strategy, "caam-c");
         EXPECT_NE(sr.strategy, "caam-dot");
@@ -406,7 +435,8 @@ TEST(Generate, SharedCaamComputedExactlyOncePerSubsystem) {
         flow::GenerateResult result = flow::generate(model, options, engine);
         const std::uint64_t after =
             obs::counter("flow.caam_shared_computed").value();
-        EXPECT_TRUE(result.ok) << "gen_jobs=" << jobs;
+        EXPECT_EQ(result.status, flow::GenerateStatus::Ok)
+            << "gen_jobs=" << jobs;
         EXPECT_EQ(after - before, 1u)
             << "shared CAAM recomputed at gen_jobs=" << jobs;
     }

@@ -157,7 +157,8 @@ TEST_F(SyntheticEndToEnd, GeneratedProgramsAreComplete) {
 // --- didactic (Fig. 3) full pipeline -----------------------------------------------
 
 TEST(DidacticEndToEnd, MdlTextContainsFig3Vocabulary) {
-    std::string mdl = core::generate_mdl(cases::didactic_model());
+    std::string mdl =
+        simulink::write_mdl(core::map_to_caam(cases::didactic_model()));
     EXPECT_NE(mdl.find("Tag \"CPU-SS\""), std::string::npos);
     EXPECT_NE(mdl.find("Tag \"Thread-SS\""), std::string::npos);
     EXPECT_NE(mdl.find("\"SWFIFO\""), std::string::npos);

@@ -173,8 +173,8 @@ TEST_P(XmiPipelineEquivalence, ReloadedModelGeneratesIdenticalArtifacts) {
     uml::Model reloaded = uml::from_xmi_string(uml::to_xmi_string(app));
     core::MapperOptions options;
     options.auto_allocate = true;
-    EXPECT_EQ(core::generate_mdl(reloaded, options),
-              core::generate_mdl(app, options));
+    EXPECT_EQ(simulink::write_mdl(core::map_to_caam(reloaded, options)),
+              simulink::write_mdl(core::map_to_caam(app, options)));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, XmiPipelineEquivalence,
@@ -182,8 +182,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, XmiPipelineEquivalence,
 
 TEST(Determinism, RepeatedMappingIsByteIdentical) {
     uml::Model crane = cases::crane_model();
-    std::string a = core::generate_mdl(crane);
-    std::string b = core::generate_mdl(crane);
+    std::string a = simulink::write_mdl(core::map_to_caam(crane));
+    std::string b = simulink::write_mdl(core::map_to_caam(crane));
     EXPECT_EQ(a, b);
 }
 

@@ -36,7 +36,6 @@
 //   --auto-allocate      §4.2.3 linear clustering instead of the
 //                        deployment diagram
 //   --max-cpus <n>       processor budget for auto allocation
-//   --no-channels        skip §4.2.1 channel inference
 //   --no-delays          skip §4.2.2 temporal-barrier insertion
 //   --dump-ecore <path>  write the intermediate (pre-optimization) CAAM in
 //                        the E-core interchange format (Fig. 2, step 3 input)
@@ -252,7 +251,7 @@ int usage(const char* argv0) {
            "       " << argv0 << " campaign <manifest.json> [options]\n"
            "       " << argv0 << " synth-corpus <out-dir> [options]\n"
            "options: -o|--out <path> --auto-allocate --max-cpus <n>\n"
-           "         --no-channels --no-delays --dump-ecore <path> --report\n"
+           "         --no-delays --dump-ecore <path> --report\n"
            "         --json-diagnostics\n"
            "         --trace-json <path> --with-kpn (generate command)\n"
            "         --gen-jobs <n> (generate/campaign: worker threads for\n"
@@ -330,8 +329,6 @@ bool parse_cli(int argc, char** argv, Cli& cli) {
             cli.mapper.auto_allocate = true;
         } else if (arg == "--max-cpus") {
             if (!next_number(cli.mapper.max_processors)) return false;
-        } else if (arg == "--no-channels") {
-            cli.mapper.infer_channels = false;
         } else if (arg == "--no-delays") {
             cli.mapper.insert_delays = false;
         } else if (arg == "--dump-ecore") {
@@ -502,23 +499,7 @@ int cmd_map(const uml::Model& model, const Cli& cli,
         sim::SFunctionRegistry probe;
         sim::Simulator check_schedule(*caam, probe);
     } catch (const sim::DeadlockError& e) {
-        std::vector<std::string> notes;
-        notes.push_back("blocked block(s): " + [&] {
-            std::string joined;
-            for (const std::string& b : e.cycle())
-                joined += (joined.empty() ? "" : ", ") + b;
-            return joined;
-        }());
-        for (const sim::CycleEdge& edge : e.edges())
-            notes.push_back("combinational dependency: " + edge.from + " -> " +
-                            edge.to);
-        notes.push_back(
-            "insert a temporal barrier (UnitDelay) on the loop — §4.2.2");
-        engine.report(diag::Severity::Error, diag::codes::kSimDeadlock,
-                      "generated CAAM has a combinational cycle through " +
-                          std::to_string(e.cycle().size()) +
-                          " block(s) — dataflow deadlock",
-                      {}, std::move(notes));
+        flow::report_caam_deadlock(e, engine);
         return kExitDiagnostics;
     } catch (const std::exception&) {
         // Other structure issues (unregistered S-functions in the empty
@@ -808,7 +789,8 @@ int cmd_fuzz(const Cli& cli) {
         try {
             uml::Model model = uml::from_xmi_string(mutant, engine, "<mutant>");
             if (!engine.has_errors())
-                (void)core::generate_mdl(model, cli.mapper, engine);
+                if (auto caam = core::map_to_caam(model, cli.mapper, engine))
+                    (void)simulink::write_mdl(*caam);
         } catch (const std::exception& e) {
             escaped.push_back(std::string(diag::to_string(m.kind)) + " (" +
                               m.description + "): " + e.what());
