@@ -154,7 +154,7 @@ GenerateResult generate(const uml::Model& model, const GenerateOptions& options_
     struct UnitState {
         const Subsystem* subsystem = nullptr;
         std::string name;
-        Strategy* strategy = nullptr;
+        const Branch* branch = nullptr;
         std::string key;
         /// Index into `preps` for live caam-family units; kNoPrep else.
         std::size_t prep = static_cast<std::size_t>(-1);
@@ -164,41 +164,25 @@ GenerateResult generate(const uml::Model& model, const GenerateOptions& options_
         FlowTrace trace;
     };
 
-    StrategyRegistry registry = StrategyRegistry::with_builtins();
     std::vector<PrepState> preps;
     std::vector<UnitState> units;
 
-    // Serial planning pass: wanted lists, checkpoint replay, shared-prep
-    // assignment, trace partitions. Everything order-sensitive that is
-    // cheap stays on the calling thread.
+    // Serial planning pass: the branch table filtered per subsystem,
+    // checkpoint replay, shared-prep assignment, trace partitions.
+    // Everything order-sensitive that is cheap stays on the calling thread.
     for (const Subsystem& subsystem : result.partitions.subsystems) {
-        std::vector<std::string> wanted;
-        if (subsystem.machine) {
-            wanted.push_back("fsm-c");
-        } else {
-            wanted.push_back("simulink-caam");
-            if (options.caam_c) wanted.push_back("caam-c");
-            if (options.caam_dot) wanted.push_back("caam-dot");
-            if (options.fallback_cpp) wanted.push_back("cpp-threads");
-            if (options.with_kpn) wanted.push_back("kpn");
-        }
-
         std::vector<std::string> dispatched;
         std::size_t prep_index = kNoPrep;
-        for (const std::string& name : wanted) {
-            Strategy* strategy = registry.find(name);
-            if (!strategy || !strategy->handles(subsystem)) {
-                engine.note(diag::codes::kFlowStrategy,
-                            "strategy '" + name + "' does not handle "
-                            "subsystem '" + subsystem.name + "'");
-                continue;
-            }
+        for (const Branch& branch : branches()) {
+            if (branch.machine != (subsystem.machine != nullptr)) continue;
+            if (branch.enabled_by && !(options.*branch.enabled_by)) continue;
+            const std::string name(branch.name);
             dispatched.push_back(name);
 
             UnitState unit;
             unit.subsystem = &subsystem;
             unit.name = name;
-            unit.strategy = strategy;
+            unit.branch = &branch;
             if (checkpointing)
                 unit.key = CheckpointStore::key(res.model_bytes, options_fp,
                                                 name, subsystem.name);
@@ -215,9 +199,7 @@ GenerateResult generate(const uml::Model& model, const GenerateOptions& options_
                                          "' replayed from checkpoint");
                 }
             }
-            const bool caam_family = name == "simulink-caam" ||
-                                     name == "caam-c" || name == "caam-dot";
-            if (!unit.cached && caam_family) {
+            if (!unit.cached && branch.reads_shared_caam) {
                 if (prep_index == kNoPrep) {
                     prep_index = preps.size();
                     preps.emplace_back();
@@ -240,17 +222,6 @@ GenerateResult generate(const uml::Model& model, const GenerateOptions& options_
                     tp.units.push_back(t->name());
             }
             trace->add_partition(std::move(tp));
-        }
-        if (dispatched.empty()) {
-            engine.warning(diag::codes::kFlowStrategy,
-                           "no registered strategy handles subsystem '" +
-                               subsystem.name + "'");
-            QuarantineRecord record;
-            record.strategy = "none";
-            record.subsystem = subsystem.name;
-            record.reason = "no registered strategy handles this subsystem";
-            record.error_codes.push_back(diag::codes::kFlowStrategy);
-            result.quarantined.push_back(std::move(record));
         }
     }
 
@@ -275,8 +246,8 @@ GenerateResult generate(const uml::Model& model, const GenerateOptions& options_
         obs::ObsSpan unit_span("flow.strategy:" + unit.name, "flow");
         FlowTrace* unit_trace = trace ? &unit.trace : nullptr;
         try {
-            unit.sr = unit.strategy->generate(context, unit.engine,
-                                              unit_trace);
+            unit.sr = run_strategy(*unit.branch, context, unit.engine,
+                                   unit_trace);
         } catch (const std::exception& e) {
             // Strategy code outside any pass body escaped; contain it to
             // this unit like any other failure.

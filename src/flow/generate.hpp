@@ -1,11 +1,12 @@
 // generate.hpp — the one-shot heterogeneous driver: Fig. 1 end to end.
 //
-// One call partitions a mixed UML model, routes every subsystem to the
-// strategies that handle it (dataflow → simulink-caam, control machines →
-// fsm-c, plus the multithreaded C++ fallback and the optional KPN
-// retargeting) and collects every generated file. Each stage — the
-// partitioner included — runs as a pass, so a single FlowTrace covers the
-// whole run with per-stage wall time, counters and diagnostics.
+// One call partitions a mixed UML model, runs every row of the branch
+// table (flow/strategy.hpp) that serves each subsystem and is switched on
+// (thread subsystem → simulink-caam, caam-c, caam-dot, cpp-threads and the
+// optional kpn; each state machine → fsm-c) and collects every generated
+// file. Each stage — the partitioner included — runs as a pass, so a
+// single FlowTrace covers the whole run with per-stage wall time, counters
+// and diagnostics.
 //
 // Resilience layer: every (strategy × subsystem) unit runs inside a fault
 // guard. A failure — thrown exception, fatal diagnostic, exhausted
@@ -45,9 +46,6 @@ struct GenerateOptions {
     core::MapperOptions mapper;
     /// Loop bound for the fallback threads generator.
     std::size_t iterations = 100;
-    /// Also emit the multithreaded C++ program for thread subsystems
-    /// ("in case a Simulink compiler is not available").
-    bool fallback_cpp = true;
     /// Also emit the §3 KPN retargeting summary for thread subsystems.
     bool with_kpn = false;
     /// Also emit the per-CPU C program from the shared CAAM (caam-c).

@@ -3,6 +3,7 @@
 #include "codegen/caam_to_c.hpp"
 #include "codegen/uml_to_cpp.hpp"
 #include "flow/caam_passes.hpp"
+#include "flow/generate.hpp"
 #include "fsm/codegen.hpp"
 #include "fsm/from_uml.hpp"
 #include "fsm/machine.hpp"
@@ -17,7 +18,7 @@
 
 namespace uhcg::flow {
 
-/// The machine a control-flow strategy consumes (non-owning).
+/// The machine a control-flow row consumes (non-owning).
 struct SourceMachine {
     const uml::StateMachine* machine = nullptr;
 };
@@ -28,19 +29,10 @@ struct SharedCaamRef {
     const SharedCaam* shared = nullptr;
 };
 
-/// The .mdl text emitted from the shared CAAM (simulink-caam).
-struct MdlText {
-    std::string text;
-};
-
-/// The per-CPU C program emitted from the shared CAAM (caam-c).
-struct CaamCProgram {
-    codegen::GeneratedProgram program;
-};
-
-/// The Graphviz text emitted from the shared CAAM (caam-dot).
-struct CaamDotText {
-    std::string text;
+/// What a caam-family row renders from the shared CAAM: its files, each
+/// named by the suffix that follows the model's base name.
+struct CaamText {
+    std::vector<GeneratedFile> files;
 };
 
 template <>
@@ -50,18 +42,6 @@ struct ArtifactTraits<SourceMachine> {
 template <>
 struct ArtifactTraits<SharedCaamRef> {
     static constexpr const char* name = "caam.shared";
-};
-template <>
-struct ArtifactTraits<MdlText> {
-    static constexpr const char* name = "simulink.mdl";
-};
-template <>
-struct ArtifactTraits<CaamCProgram> {
-    static constexpr const char* name = "caam.c-program";
-};
-template <>
-struct ArtifactTraits<CaamDotText> {
-    static constexpr const char* name = "caam.dot";
 };
 template <>
 struct ArtifactTraits<fsm::Machine> {
@@ -86,9 +66,11 @@ std::string group_label(std::string_view strategy, const Subsystem& subsystem) {
     return std::string(strategy) + ":" + subsystem.name;
 }
 
-void apply_resilience(PassManager& pm, const StrategyContext& context) {
+PassManager pass_manager(std::string_view name, const StrategyContext& context) {
+    PassManager pm{std::string(name)};
     pm.set_retry_policy(context.retry);
     pm.set_pass_budget(context.pass_budget);
+    return pm;
 }
 
 /// Schedulability probe over the emitted CAAM — the cmd_map check as a
@@ -116,7 +98,7 @@ void register_schedulability_probe(PassManager& pm, std::size_t sim_steps) {
                             if (r.budget_exhausted) ctx.fail();
                         }
                     } catch (const sim::DeadlockError& e) {
-                        report_caam_deadlock(e, ctx.diags());
+                        sim::report_deadlock(e, ctx.diags());
                         ctx.fail();
                     } catch (const std::exception&) {
                         // S-functions the empty probe registry cannot bind;
@@ -173,360 +155,278 @@ void register_estimate_pass(PassManager& pm, std::string backend) {
            .runs_after("caam.validate"));
 }
 
-/// Dataflow branch: steps 2–4 ending in .mdl text. The mapping (steps
-/// 2–3) lives in the SharedCaam; this strategy only runs the step-4
-/// model-to-text pass, so the same analysis feeds caam-c and caam-dot
-/// without being recomputed.
-class CaamStrategy final : public Strategy {
-public:
-    std::string_view name() const override { return "simulink-caam"; }
-    bool handles(const Subsystem& s) const override {
-        return s.machine == nullptr && !s.threads.empty();
+// --- the caam family: one emitter, three renderings -------------------------
+
+using CaamRender = std::vector<GeneratedFile> (*)(const simulink::Model& caam,
+                                                  PassContext& ctx);
+
+/// The one caam-family emitter: pass `pass` renders the shared CAAM with
+/// `render`; its output carries the row's own artifact name in the trace.
+void add_caam_emit(PassManager& pm, const char* pass, const char* artifact,
+                   CaamRender render) {
+    Pass emit(pass, [render](PassContext& ctx) {
+        const SharedCaam& shared = *ctx.in<SharedCaamRef>().shared;
+        ctx.out(CaamText{render(shared.caam, ctx)});
+    });
+    emit.reads<SharedCaamRef>();
+    emit.outputs.push_back({typeid(CaamText), artifact});
+    pm.add(std::move(emit));
+}
+
+/// Step 4: the .mdl text.
+std::vector<GeneratedFile> render_mdl(const simulink::Model& caam,
+                                      PassContext& ctx) {
+    std::string mdl = simulink::write_mdl(caam);
+    ctx.count("bytes", mdl.size());
+    return {{".mdl", std::move(mdl)}};
+}
+
+/// The multithread software-generation step: a per-CPU C99 program.
+std::vector<GeneratedFile> render_c(const simulink::Model& caam,
+                                    PassContext& ctx) {
+    codegen::GeneratedProgram program = codegen::generate_c_program(caam);
+    std::vector<GeneratedFile> files;
+    std::size_t bytes = 0;
+    for (auto& [name, contents] : program.files) {
+        bytes += contents.size();
+        files.push_back({"_" + name, std::move(contents)});
     }
+    ctx.count("files", files.size());
+    ctx.count("channels", program.channel_count);
+    ctx.count("sfunctions", program.sfunction_count);
+    ctx.count("bytes", bytes);
+    return files;
+}
 
-    StrategyResult generate(const StrategyContext& context,
-                            diag::DiagnosticEngine& engine,
-                            FlowTrace* trace) override {
-        StrategyResult result;
-        result.strategy = std::string(name());
-        result.subsystem = context.subsystem->name;
+/// The Graphviz block diagram.
+std::vector<GeneratedFile> render_dot(const simulink::Model& caam,
+                                      PassContext& ctx) {
+    std::string dot = simulink::to_dot(caam);
+    ctx.count("bytes", dot.size());
+    return {{"_caam.dot", std::move(dot)}};
+}
 
-        // The mapping report travels with the mdl result whether or not the
-        // mapping succeeded — cmd_generate --report prints it either way.
-        const SharedCaam& shared = *context.shared_caam;
-        result.mapper_report = shared.mapper_report;
-        result.ok = shared.ok;
-        if (!shared.ok) return result;
+std::vector<GeneratedFile> caam_files(ArtifactStore& store,
+                                      const std::string& base) {
+    std::vector<GeneratedFile> files;
+    if (CaamText* text = store.get<CaamText>())
+        for (GeneratedFile& f : text->files)
+            files.push_back({base + f.name, std::move(f.contents)});
+    return files;
+}
 
-        ArtifactStore store;
-        store.put(SharedCaamRef{&shared});
-        PassManager pm("simulink-caam");
-        apply_resilience(pm, context);
-        pm.add(Pass("simulink.emit",
-                    [](PassContext& ctx) {
-                        const SharedCaam& s = *ctx.in<SharedCaamRef>().shared;
-                        MdlText& mdl =
-                            ctx.out(MdlText{simulink::write_mdl(s.caam)});
-                        ctx.count("bytes", mdl.text.size());
-                    })
-               .reads<SharedCaamRef>()
-               .writes<MdlText>());
-        auto run = pm.run(store, engine, trace,
-                          group_label(name(), *context.subsystem));
-        result.ok = run.ok;
-        if (MdlText* mdl = store.get<MdlText>())
-            result.files.push_back(
-                {transform::sanitize_identifier(context.model->name()) + ".mdl",
-                 std::move(mdl->text)});
-        return result;
+// --- fsm-c: UML state machine → flat FSM → C header + source ----------------
+
+void add_fsm_passes(PassManager& pm, const StrategyContext&) {
+    pm.set_internal_error_code(diag::codes::kFsmInvalid);
+    pm.add(Pass("fsm.flatten",
+                [](PassContext& ctx) {
+                    const uml::StateMachine& sm =
+                        *ctx.in<SourceMachine>().machine;
+                    fsm::Machine& machine = ctx.out(fsm::from_uml(sm));
+                    ctx.count("states", machine.state_count());
+                    ctx.count("transitions", machine.transitions().size());
+                    // Gate on this machine's own problems, not the whole
+                    // engine: under quarantine another subsystem's failure
+                    // must not fail this one.
+                    auto problems = machine.check();
+                    for (const std::string& p : problems)
+                        ctx.diags().error(diag::codes::kFsmInvalid,
+                                          machine.name() + ": " + p);
+                    if (!problems.empty()) ctx.fail();
+                })
+           .reads<SourceMachine>()
+           .writes<fsm::Machine>());
+    pm.add(Pass("fsm.emit-c",
+                [](PassContext& ctx) {
+                    fsm::GeneratedC& code =
+                        ctx.out(fsm::generate_c(ctx.in<fsm::Machine>()));
+                    ctx.count("bytes", code.header.size() + code.source.size());
+                })
+           .reads<fsm::Machine>()
+           .writes<fsm::GeneratedC>());
+}
+
+std::vector<GeneratedFile> fsm_files(ArtifactStore& store, const std::string&) {
+    std::vector<GeneratedFile> files;
+    if (fsm::GeneratedC* code = store.get<fsm::GeneratedC>()) {
+        files.push_back({code->header_name, std::move(code->header)});
+        files.push_back({code->source_name, std::move(code->source)});
     }
-};
+    return files;
+}
 
-/// Dataflow branch: the same CAAM emitted as a per-CPU C99 program — the
-/// multithread software-generation step, from the shared mapping.
-class CaamCStrategy final : public Strategy {
-public:
-    std::string_view name() const override { return "caam-c"; }
-    bool handles(const Subsystem& s) const override {
-        return s.machine == nullptr && !s.threads.empty();
+// --- cpp-threads: multithreaded C++ from the same model ----------------------
+
+void add_threads_pass(PassManager& pm, const StrategyContext& context) {
+    const std::size_t iterations = context.iterations;
+    pm.add(Pass("codegen.threads",
+                [iterations](PassContext& ctx) {
+                    const uml::Model& model = *ctx.in<SourceModel>().model;
+                    codegen::CppProgram& program =
+                        ctx.out(codegen::generate_cpp_threads(
+                            model, iterations, ctx.diags()));
+                    ctx.count("threads", program.thread_count);
+                    ctx.count("queues", program.queue_count);
+                    ctx.count("bytes", program.source.size());
+                })
+           .reads<SourceModel>()
+           .writes<codegen::CppProgram>());
+}
+
+std::vector<GeneratedFile> threads_files(ArtifactStore& store,
+                                         const std::string&) {
+    std::vector<GeneratedFile> files;
+    if (codegen::CppProgram* program = store.get<codegen::CppProgram>())
+        files.push_back({program->file_name, std::move(program->source)});
+    return files;
+}
+
+// --- kpn: §3 retargeting, emitted as a network summary -----------------------
+
+void add_kpn_passes(PassManager& pm, const StrategyContext& context) {
+    pm.add(Pass("kpn.map",
+                [](PassContext& ctx) {
+                    const uml::Model& model = *ctx.in<SourceModel>().model;
+                    kpn::KpnMappingOutput& out =
+                        ctx.out(kpn::map_to_kpn(model));
+                    ctx.count("processes", out.network.processes().size());
+                    ctx.count("channels", out.network.channels().size());
+                    ctx.count("initial-tokens", out.initial_tokens_inserted);
+                    for (const std::string& w : out.warnings)
+                        ctx.diags().warning(diag::codes::kMapRule, "kpn: " + w);
+                })
+           .reads<SourceModel>()
+           .writes<kpn::KpnMappingOutput>());
+
+    // Watchdogged dry-run of the mapped network — the cmd_kpn check as a
+    // pass, with the firing budget configurable from `uhcg generate` (0
+    // keeps the legacy formula) and surfaced as a trace counter. A
+    // read-blocked network fails the row (quarantining only the KPN
+    // branch); a tripped watchdog is a transient diagnostic the
+    // RetryPolicy may re-run.
+    const std::size_t iterations = context.iterations;
+    const std::size_t firings = context.kpn_firings;
+    pm.add(Pass("kpn.validate",
+                [iterations, firings](PassContext& ctx) {
+                    const kpn::KpnMappingOutput& out =
+                        ctx.in<kpn::KpnMappingOutput>();
+                    kpn::KernelRegistry registry;
+                    for (const auto& p : out.network.processes())
+                        registry.register_kernel(
+                            p->name(), [](auto, auto outputs, auto&) {
+                                for (double& v : outputs) v = 0.0;
+                            });
+                    kpn::Executor exec(out.network, registry);
+                    kpn::WatchdogBudget budget;
+                    budget.max_firings =
+                        firings ? firings
+                                : iterations * out.network.processes().size() *
+                                          4 +
+                                      1000;
+                    ctx.count("budget-firings", budget.max_firings);
+                    kpn::KpnResult r =
+                        exec.run(iterations, ctx.diags(), budget);
+                    ctx.count("rounds", r.rounds);
+                    ctx.count("firings", r.firings);
+                    ctx.count("max-queue-depth", r.max_queue_depth);
+                    if (r.deadlocked || r.budget_exhausted) ctx.fail();
+                })
+           .reads<kpn::KpnMappingOutput>());
+}
+
+std::vector<GeneratedFile> kpn_files(ArtifactStore& store,
+                                     const std::string& base) {
+    std::vector<GeneratedFile> files;
+    if (kpn::KpnMappingOutput* out = store.get<kpn::KpnMappingOutput>()) {
+        transform::CodeWriter w;
+        w.line("# KPN '" + out->network.name() + "': " +
+               std::to_string(out->network.processes().size()) +
+               " processes, " +
+               std::to_string(out->network.channels().size()) +
+               " channels, " + std::to_string(out->initial_tokens_inserted) +
+               " initial token(s)");
+        for (const kpn::ChannelDecl& c : out->network.channels())
+            w.line(c.producer->name() + " --" + c.variable + "--> " +
+                   c.consumer->name() + (c.initial_tokens ? "  [seeded]" : ""));
+        files.push_back({base + "_kpn.txt", w.str()});
     }
+    return files;
+}
 
-    StrategyResult generate(const StrategyContext& context,
-                            diag::DiagnosticEngine& engine,
-                            FlowTrace* trace) override {
-        StrategyResult result;
-        result.strategy = std::string(name());
-        result.subsystem = context.subsystem->name;
-
-        const SharedCaam& shared = *context.shared_caam;
-        result.ok = shared.ok;
-        if (!shared.ok) return result;
-
-        ArtifactStore store;
-        store.put(SharedCaamRef{&shared});
-        PassManager pm("caam-c");
-        apply_resilience(pm, context);
-        pm.add(Pass("caam.emit-c",
-                    [](PassContext& ctx) {
-                        const SharedCaam& s = *ctx.in<SharedCaamRef>().shared;
-                        CaamCProgram& prog = ctx.out(CaamCProgram{
-                            codegen::generate_c_program(s.caam)});
-                        std::size_t bytes = 0;
-                        for (const auto& [name, contents] : prog.program.files)
-                            bytes += contents.size();
-                        ctx.count("files", prog.program.files.size());
-                        ctx.count("channels", prog.program.channel_count);
-                        ctx.count("sfunctions", prog.program.sfunction_count);
-                        ctx.count("bytes", bytes);
-                    })
-               .reads<SharedCaamRef>()
-               .writes<CaamCProgram>());
-        auto run = pm.run(store, engine, trace,
-                          group_label(name(), *context.subsystem));
-        result.ok = run.ok;
-        if (CaamCProgram* prog = store.get<CaamCProgram>()) {
-            const std::string prefix =
-                transform::sanitize_identifier(context.model->name()) + "_";
-            for (auto& [name, contents] : prog->program.files)
-                result.files.push_back({prefix + name, std::move(contents)});
-        }
-        return result;
-    }
-};
-
-/// Dataflow branch: the same CAAM exported as a Graphviz block diagram.
-class CaamDotStrategy final : public Strategy {
-public:
-    std::string_view name() const override { return "caam-dot"; }
-    bool handles(const Subsystem& s) const override {
-        return s.machine == nullptr && !s.threads.empty();
-    }
-
-    StrategyResult generate(const StrategyContext& context,
-                            diag::DiagnosticEngine& engine,
-                            FlowTrace* trace) override {
-        StrategyResult result;
-        result.strategy = std::string(name());
-        result.subsystem = context.subsystem->name;
-
-        const SharedCaam& shared = *context.shared_caam;
-        result.ok = shared.ok;
-        if (!shared.ok) return result;
-
-        ArtifactStore store;
-        store.put(SharedCaamRef{&shared});
-        PassManager pm("caam-dot");
-        apply_resilience(pm, context);
-        pm.add(Pass("caam.emit-dot",
-                    [](PassContext& ctx) {
-                        const SharedCaam& s = *ctx.in<SharedCaamRef>().shared;
-                        CaamDotText& dot = ctx.out(
-                            CaamDotText{simulink::to_dot(s.caam)});
-                        ctx.count("bytes", dot.text.size());
-                    })
-               .reads<SharedCaamRef>()
-               .writes<CaamDotText>());
-        auto run = pm.run(store, engine, trace,
-                          group_label(name(), *context.subsystem));
-        result.ok = run.ok;
-        if (CaamDotText* dot = store.get<CaamDotText>())
-            result.files.push_back(
-                {transform::sanitize_identifier(context.model->name()) +
-                     "_caam.dot",
-                 std::move(dot->text)});
-        return result;
-    }
-};
-
-/// Control branch: UML state machine → flat FSM → C header + source.
-class FsmStrategy final : public Strategy {
-public:
-    std::string_view name() const override { return "fsm-c"; }
-    bool handles(const Subsystem& s) const override {
-        return s.machine != nullptr;
-    }
-
-    StrategyResult generate(const StrategyContext& context,
-                            diag::DiagnosticEngine& engine,
-                            FlowTrace* trace) override {
-        StrategyResult result;
-        result.strategy = std::string(name());
-        result.subsystem = context.subsystem->name;
-
-        ArtifactStore store;
-        store.put(SourceMachine{context.subsystem->machine});
-        PassManager pm("fsm-c");
-        pm.set_internal_error_code(diag::codes::kFsmInvalid);
-        apply_resilience(pm, context);
-
-        pm.add(Pass("fsm.flatten",
-                    [](PassContext& ctx) {
-                        const uml::StateMachine& sm =
-                            *ctx.in<SourceMachine>().machine;
-                        fsm::Machine& machine = ctx.out(fsm::from_uml(sm));
-                        ctx.count("states", machine.state_count());
-                        ctx.count("transitions", machine.transitions().size());
-                        // Gate on this machine's own problems, not the
-                        // whole engine: under quarantine another
-                        // subsystem's failure must not fail this one.
-                        auto problems = machine.check();
-                        for (const std::string& p : problems)
-                            ctx.diags().error(diag::codes::kFsmInvalid,
-                                              machine.name() + ": " + p);
-                        if (!problems.empty()) ctx.fail();
-                    })
-               .reads<SourceMachine>()
-               .writes<fsm::Machine>());
-
-        pm.add(Pass("fsm.emit-c",
-                    [](PassContext& ctx) {
-                        fsm::GeneratedC& code = ctx.out(
-                            fsm::generate_c(ctx.in<fsm::Machine>()));
-                        ctx.count("bytes",
-                                  code.header.size() + code.source.size());
-                    })
-               .reads<fsm::Machine>()
-               .writes<fsm::GeneratedC>());
-
-        auto run = pm.run(store, engine, trace,
-                          group_label(name(), *context.subsystem));
-        result.ok = run.ok;
-        if (fsm::GeneratedC* code = store.get<fsm::GeneratedC>()) {
-            result.files.push_back({code->header_name, std::move(code->header)});
-            result.files.push_back({code->source_name, std::move(code->source)});
-        }
-        return result;
-    }
-};
-
-/// Fallback branch: multithreaded C++ from the same model.
-class CppThreadsStrategy final : public Strategy {
-public:
-    std::string_view name() const override { return "cpp-threads"; }
-    bool handles(const Subsystem& s) const override {
-        return s.machine == nullptr && !s.threads.empty();
-    }
-
-    StrategyResult generate(const StrategyContext& context,
-                            diag::DiagnosticEngine& engine,
-                            FlowTrace* trace) override {
-        StrategyResult result;
-        result.strategy = std::string(name());
-        result.subsystem = context.subsystem->name;
-
-        ArtifactStore store;
-        store.put(SourceModel{context.model});
-        PassManager pm("cpp-threads");
-        apply_resilience(pm, context);
-
-        const std::size_t iterations = context.iterations;
-        pm.add(Pass("codegen.threads",
-                    [iterations](PassContext& ctx) {
-                        const uml::Model& model = *ctx.in<SourceModel>().model;
-                        codegen::CppProgram& program =
-                            ctx.out(codegen::generate_cpp_threads(
-                                model, iterations, ctx.diags()));
-                        ctx.count("threads", program.thread_count);
-                        ctx.count("queues", program.queue_count);
-                        ctx.count("bytes", program.source.size());
-                    })
-               .reads<SourceModel>()
-               .writes<codegen::CppProgram>());
-
-        auto run = pm.run(store, engine, trace,
-                          group_label(name(), *context.subsystem));
-        result.ok = run.ok;
-        if (codegen::CppProgram* program = store.get<codegen::CppProgram>())
-            result.files.push_back(
-                {program->file_name, std::move(program->source)});
-        return result;
-    }
-};
-
-/// §3 retargeting: the KPN mapping, emitted as a network summary.
-class KpnStrategy final : public Strategy {
-public:
-    std::string_view name() const override { return "kpn"; }
-    bool handles(const Subsystem& s) const override {
-        return s.machine == nullptr && !s.threads.empty();
-    }
-
-    StrategyResult generate(const StrategyContext& context,
-                            diag::DiagnosticEngine& engine,
-                            FlowTrace* trace) override {
-        StrategyResult result;
-        result.strategy = std::string(name());
-        result.subsystem = context.subsystem->name;
-
-        ArtifactStore store;
-        store.put(SourceModel{context.model});
-        PassManager pm("kpn");
-        apply_resilience(pm, context);
-
-        pm.add(Pass("kpn.map",
-                    [](PassContext& ctx) {
-                        const uml::Model& model = *ctx.in<SourceModel>().model;
-                        kpn::KpnMappingOutput& out =
-                            ctx.out(kpn::map_to_kpn(model));
-                        ctx.count("processes", out.network.processes().size());
-                        ctx.count("channels", out.network.channels().size());
-                        ctx.count("initial-tokens", out.initial_tokens_inserted);
-                        for (const std::string& w : out.warnings)
-                            ctx.diags().warning(diag::codes::kMapRule,
-                                                "kpn: " + w);
-                    })
-               .reads<SourceModel>()
-               .writes<kpn::KpnMappingOutput>());
-
-        // Watchdogged dry-run of the mapped network — the cmd_kpn check as
-        // a pass, with the firing budget configurable from `uhcg generate`
-        // (0 keeps the legacy formula) and surfaced as a trace counter. A
-        // read-blocked network fails the strategy (quarantining only the
-        // KPN branch); a tripped watchdog is a transient diagnostic the
-        // RetryPolicy may re-run.
-        const std::size_t iterations = context.iterations;
-        const std::size_t firings = context.kpn_firings;
-        pm.add(Pass("kpn.validate",
-                    [iterations, firings](PassContext& ctx) {
-                        const kpn::KpnMappingOutput& out =
-                            ctx.in<kpn::KpnMappingOutput>();
-                        kpn::KernelRegistry registry;
-                        for (const auto& p : out.network.processes())
-                            registry.register_kernel(
-                                p->name(), [](auto, auto outputs, auto&) {
-                                    for (double& v : outputs) v = 0.0;
-                                });
-                        kpn::Executor exec(out.network, registry);
-                        kpn::WatchdogBudget budget;
-                        budget.max_firings =
-                            firings ? firings
-                                    : iterations *
-                                              out.network.processes().size() *
-                                              4 +
-                                          1000;
-                        ctx.count("budget-firings", budget.max_firings);
-                        kpn::KpnResult r =
-                            exec.run(iterations, ctx.diags(), budget);
-                        ctx.count("rounds", r.rounds);
-                        ctx.count("firings", r.firings);
-                        ctx.count("max-queue-depth", r.max_queue_depth);
-                        if (r.deadlocked || r.budget_exhausted) ctx.fail();
-                    })
-               .reads<kpn::KpnMappingOutput>());
-
-        auto run = pm.run(store, engine, trace,
-                          group_label(name(), *context.subsystem));
-        result.ok = run.ok;
-        if (kpn::KpnMappingOutput* out = store.get<kpn::KpnMappingOutput>()) {
-            transform::CodeWriter w;
-            w.line("# KPN '" + out->network.name() + "': " +
-                   std::to_string(out->network.processes().size()) +
-                   " processes, " +
-                   std::to_string(out->network.channels().size()) +
-                   " channels, " +
-                   std::to_string(out->initial_tokens_inserted) +
-                   " initial token(s)");
-            for (const kpn::ChannelDecl& c : out->network.channels())
-                w.line(c.producer->name() + " --" + c.variable + "--> " +
-                       c.consumer->name() +
-                       (c.initial_tokens ? "  [seeded]" : ""));
-            result.files.push_back(
-                {transform::sanitize_identifier(context.model->name()) +
-                     "_kpn.txt",
-                 w.str()});
-        }
-        return result;
-    }
+constexpr Branch kBranches[] = {
+    {.name = "simulink-caam",
+     .reads_shared_caam = true,
+     .add_passes =
+         [](PassManager& pm, const StrategyContext&) {
+             add_caam_emit(pm, "simulink.emit", "simulink.mdl", render_mdl);
+         },
+     .files = caam_files},
+    {.name = "caam-c",
+     .reads_shared_caam = true,
+     .enabled_by = &GenerateOptions::caam_c,
+     .add_passes =
+         [](PassManager& pm, const StrategyContext&) {
+             add_caam_emit(pm, "caam.emit-c", "caam.c-program", render_c);
+         },
+     .files = caam_files},
+    {.name = "caam-dot",
+     .reads_shared_caam = true,
+     .enabled_by = &GenerateOptions::caam_dot,
+     .add_passes =
+         [](PassManager& pm, const StrategyContext&) {
+             add_caam_emit(pm, "caam.emit-dot", "caam.dot", render_dot);
+         },
+     .files = caam_files},
+    {.name = "fsm-c",
+     .machine = true,
+     .add_passes = add_fsm_passes,
+     .files = fsm_files},
+    {.name = "cpp-threads", .add_passes = add_threads_pass, .files = threads_files},
+    {.name = "kpn",
+     .enabled_by = &GenerateOptions::with_kpn,
+     .add_passes = add_kpn_passes,
+     .files = kpn_files},
 };
 
 }  // namespace
+
+std::span<const Branch> branches() { return kBranches; }
+
+StrategyResult run_strategy(const Branch& branch,
+                            const StrategyContext& context,
+                            diag::DiagnosticEngine& engine, FlowTrace* trace) {
+    StrategyResult result;
+    result.strategy = std::string(branch.name);
+    result.subsystem = context.subsystem->name;
+    if (branch.reads_shared_caam) {
+        // The mapping report travels with the result whether or not the
+        // mapping succeeded — cmd_generate --report prints it either way.
+        result.mapper_report = context.shared_caam->mapper_report;
+        result.ok = context.shared_caam->ok;
+        if (!result.ok) return result;
+    }
+
+    ArtifactStore store;
+    store.put(SourceModel{context.model});
+    if (context.subsystem->machine)
+        store.put(SourceMachine{context.subsystem->machine});
+    if (context.shared_caam) store.put(SharedCaamRef{context.shared_caam});
+    PassManager pm = pass_manager(branch.name, context);
+    branch.add_passes(pm, context);
+    result.ok = pm.run(store, engine, trace,
+                       group_label(branch.name, *context.subsystem))
+                    .ok;
+    result.files = branch.files(
+        store, transform::sanitize_identifier(context.model->name()));
+    return result;
+}
 
 SharedCaam compute_shared_caam(const StrategyContext& context,
                                diag::DiagnosticEngine& engine,
                                FlowTrace* trace) {
     SharedCaam shared;
-    PassManager pm("simulink-caam");
-    apply_resilience(pm, context);
+    PassManager pm = pass_manager("simulink-caam", context);
     auto caam = run_caam_pipeline(
         pm, *context.model, context.mapper, engine, shared.mapper_report, trace,
         group_label("simulink-caam", *context.subsystem),
@@ -540,46 +440,6 @@ SharedCaam compute_shared_caam(const StrategyContext& context,
         shared.ok = true;
     }
     return shared;
-}
-
-void report_caam_deadlock(const sim::DeadlockError& error,
-                          diag::DiagnosticEngine& engine) {
-    std::string joined;
-    for (const std::string& b : error.cycle())
-        joined += (joined.empty() ? "" : ", ") + b;
-    std::vector<std::string> notes;
-    notes.push_back("blocked block(s): " + joined);
-    for (const sim::CycleEdge& edge : error.edges())
-        notes.push_back("combinational dependency: " + edge.from + " -> " +
-                        edge.to);
-    notes.push_back("insert a temporal barrier (UnitDelay) on the loop — §4.2.2");
-    engine.report(diag::Severity::Error, diag::codes::kSimDeadlock,
-                  "generated CAAM has a combinational cycle through " +
-                      std::to_string(error.cycle().size()) +
-                      " block(s) — dataflow deadlock",
-                  {}, std::move(notes));
-}
-
-StrategyRegistry& StrategyRegistry::add(std::unique_ptr<Strategy> strategy) {
-    strategies_.push_back(std::move(strategy));
-    return *this;
-}
-
-Strategy* StrategyRegistry::find(std::string_view name) {
-    for (const auto& s : strategies_)
-        if (s->name() == name) return s.get();
-    return nullptr;
-}
-
-StrategyRegistry StrategyRegistry::with_builtins() {
-    StrategyRegistry registry;
-    registry.add(std::make_unique<CaamStrategy>())
-        .add(std::make_unique<CaamCStrategy>())
-        .add(std::make_unique<CaamDotStrategy>())
-        .add(std::make_unique<FsmStrategy>())
-        .add(std::make_unique<CppThreadsStrategy>())
-        .add(std::make_unique<KpnStrategy>());
-    return registry;
 }
 
 }  // namespace uhcg::flow

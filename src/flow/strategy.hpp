@@ -1,7 +1,7 @@
-// strategy.hpp — heterogeneous generation strategies behind one interface.
+// strategy.hpp — Fig. 1's generation branches as one fixed table.
 //
-// Fig. 1's branches become registered strategies the dispatcher routes
-// subsystem partitions to:
+// Each row is a branch the dispatcher (flow/generate.cpp) routes subsystem
+// partitions to:
 //
 //   simulink-caam   dataflow branch: steps 2–4, UML → CAAM → .mdl
 //   caam-c          dataflow branch: the same CAAM → per-CPU C program
@@ -11,15 +11,18 @@
 //                   Simulink compiler is not available")
 //   kpn             §3 retargeting: UML → Kahn process network summary
 //
-// The three caam-family emitters share one SharedCaam mapping artifact —
-// the paper's amortize-one-analysis-across-many-back-ends shape — which
-// compute_shared_caam() builds once per dataflow subsystem; each emitter
-// then runs only its model-to-text pass. Every strategy still runs its
-// stages through a PassManager, so each lands in the shared FlowTrace
-// with per-stage wall time, counters and diagnostics.
+// A row states which subsystems it serves, whether it reads the shared
+// CAAM, which option switches it on, its passes and how its files are
+// named; run_strategy() is the one body that runs any row. The three
+// caam-family rows share one SharedCaam mapping artifact — the paper's
+// amortize-one-analysis-across-many-back-ends shape — which
+// compute_shared_caam() builds once per dataflow subsystem; each of them
+// then runs only its model-to-text pass. Every row runs its passes
+// through a PassManager, so each lands in the shared FlowTrace with
+// per-stage wall time, counters and diagnostics.
 #pragma once
 
-#include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,15 +32,13 @@
 #include "flow/pass.hpp"
 #include "simulink/model.hpp"
 
-namespace uhcg::sim {
-class DeadlockError;
-}
-
 namespace uhcg::flow {
+
+struct GenerateOptions;
 
 /// The per-subsystem CAAM mapping result (steps 2–3 plus the
 /// schedulability probe and cost estimate), computed once and consumed
-/// read-only by every caam-family emitter. Immutable after
+/// read-only by every caam-family row. Immutable after
 /// compute_shared_caam() returns, so concurrent emitter units may share
 /// one instance without synchronization. `ok == false` means the mapping
 /// pipeline failed; the dispatcher quarantines every dependent emitter
@@ -48,7 +49,7 @@ struct SharedCaam {
     core::MapperReport mapper_report;
 };
 
-/// What a strategy is asked to generate.
+/// What a branch is asked to generate.
 struct StrategyContext {
     const uml::Model* model = nullptr;
     const Subsystem* subsystem = nullptr;
@@ -67,9 +68,8 @@ struct StrategyContext {
     /// Simulation backend for the advisory cost-estimate pass
     /// (sim.estimate); empty = sim::kDefaultBackend.
     std::string sim_backend;
-    /// Shared mapping for the caam-family emitters, owned by the
-    /// dispatcher: a required input of simulink-caam, caam-c and caam-dot,
-    /// null for every other strategy.
+    /// Shared mapping owned by the dispatcher: a required input of the
+    /// caam-family rows, null for every other row.
     const SharedCaam* shared_caam = nullptr;
 };
 
@@ -81,12 +81,6 @@ struct StrategyContext {
 SharedCaam compute_shared_caam(const StrategyContext& context,
                                diag::DiagnosticEngine& engine,
                                FlowTrace* trace);
-
-/// Reports a combinational cycle found in a generated CAAM as the
-/// structured sim.deadlock error — the blocked blocks and each dependency
-/// edge as notes. Shared by the sim.schedulability probe and `uhcg map`.
-void report_caam_deadlock(const sim::DeadlockError& error,
-                          diag::DiagnosticEngine& engine);
 
 struct GeneratedFile {
     std::string name;
@@ -100,37 +94,39 @@ struct StrategyResult {
     /// Replayed from a checkpoint instead of regenerated (`--resume`).
     bool cached = false;
     std::vector<GeneratedFile> files;
-    /// Legacy mapping report; populated by the simulink-caam strategy only.
+    /// The shared mapping's report; populated by the caam-family rows only.
     core::MapperReport mapper_report;
 };
 
-class Strategy {
-public:
-    virtual ~Strategy() = default;
-    virtual std::string_view name() const = 0;
-    /// True when this strategy can consume `subsystem`.
-    virtual bool handles(const Subsystem& subsystem) const = 0;
-    /// Generates artifacts for one subsystem, reporting through `engine`
-    /// and tracing each internal pass (group = "<name>:<subsystem>").
-    virtual StrategyResult generate(const StrategyContext& context,
-                                    diag::DiagnosticEngine& engine,
-                                    FlowTrace* trace) = 0;
+/// One row of the branch table.
+struct Branch {
+    std::string_view name;
+    /// Serves state-machine subsystems; every other row serves the thread
+    /// subsystem.
+    bool machine = false;
+    /// Reads the subsystem's SharedCaam, so it runs after
+    /// compute_shared_caam() and fails with it.
+    bool reads_shared_caam = false;
+    /// The GenerateOptions switch that turns the row on; null = always on.
+    bool GenerateOptions::*enabled_by = nullptr;
+    /// Registers the row's passes.
+    void (*add_passes)(PassManager& pm, const StrategyContext& context) =
+        nullptr;
+    /// Takes the generated files out of the finished store; `base` is the
+    /// model's sanitized name.
+    std::vector<GeneratedFile> (*files)(ArtifactStore& store,
+                                        const std::string& base) = nullptr;
 };
 
-/// Name-keyed strategy registry; lookup order is registration order.
-class StrategyRegistry {
-public:
-    StrategyRegistry& add(std::unique_ptr<Strategy> strategy);
-    Strategy* find(std::string_view name);
-    const std::vector<std::unique_ptr<Strategy>>& strategies() const {
-        return strategies_;
-    }
-    /// The built-in branches of Fig. 1, registration order:
-    /// simulink-caam, caam-c, caam-dot, fsm-c, cpp-threads, kpn.
-    static StrategyRegistry with_builtins();
+/// The branch table in dispatch order: simulink-caam, caam-c, caam-dot,
+/// fsm-c, cpp-threads, kpn.
+std::span<const Branch> branches();
 
-private:
-    std::vector<std::unique_ptr<Strategy>> strategies_;
-};
+/// Runs `branch` on `context.subsystem`: seeds the store, applies the
+/// retry/budget policy, runs the row's passes under group
+/// "<name>:<subsystem>" and collects its files.
+StrategyResult run_strategy(const Branch& branch,
+                            const StrategyContext& context,
+                            diag::DiagnosticEngine& engine, FlowTrace* trace);
 
 }  // namespace uhcg::flow

@@ -16,8 +16,8 @@
 //
 // Split mirrors sim/batch: `Backend::compile` is the per-(graph, params)
 // precomputation, shared read-only across workers; `CompiledModel::
-// evaluator` mints the per-worker mutable evaluator. The registry mirrors
-// flow::StrategyRegistry (name-keyed, registration order).
+// evaluator` mints the per-worker mutable evaluator. The registry is
+// name-keyed and lists backends in registration order.
 #pragma once
 
 #include <memory>

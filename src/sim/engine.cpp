@@ -45,6 +45,24 @@ DeadlockError::DeadlockError(std::vector<std::string> cycle,
       cycle_(std::move(cycle)),
       edges_(std::move(edges)) {}
 
+void report_deadlock(const DeadlockError& error,
+                     diag::DiagnosticEngine& engine) {
+    std::string joined;
+    for (const std::string& b : error.cycle())
+        joined += (joined.empty() ? "" : ", ") + b;
+    std::vector<std::string> notes;
+    notes.push_back("blocked block(s): " + joined);
+    for (const CycleEdge& edge : error.edges())
+        notes.push_back("combinational dependency: " + edge.from + " -> " +
+                        edge.to);
+    notes.push_back("insert a temporal barrier (UnitDelay) on the loop — §4.2.2");
+    engine.report(diag::Severity::Error, diag::codes::kSimDeadlock,
+                  "generated CAAM has a combinational cycle through " +
+                      std::to_string(error.cycle().size()) +
+                      " block(s) — dataflow deadlock",
+                  {}, std::move(notes));
+}
+
 namespace {
 
 bool is_marker(const Block& b, const System& root) {
@@ -295,39 +313,6 @@ Simulator::Simulator(const simulink::Model& model,
             net.recorder_indices.push_back(net.blocks.size());
         }
         net.blocks.push_back(std::move(rec));
-    }
-}
-
-std::optional<Simulator> Simulator::build(const simulink::Model& model,
-                                          const SFunctionRegistry& registry,
-                                          diag::DiagnosticEngine& engine) {
-    try {
-        return Simulator(model, registry);
-    } catch (const DeadlockError& e) {
-        std::vector<std::string> notes;
-        {
-            std::ostringstream b;
-            b << "blocked block(s):";
-            for (const auto& p : e.cycle()) b << ' ' << p;
-            notes.push_back(b.str());
-        }
-        for (const CycleEdge& edge : e.edges())
-            notes.push_back("combinational dependency: " + edge.from + " -> " +
-                            edge.to);
-        notes.push_back(
-            "insert a temporal barrier (UnitDelay) on the loop — §4.2.2");
-        engine.report(diag::Severity::Error, diag::codes::kSimDeadlock,
-                      "model '" + model.name() +
-                          "' has a combinational cycle through " +
-                          std::to_string(e.cycle().size()) +
-                          " block(s) — dataflow deadlock",
-                      {}, std::move(notes));
-        return std::nullopt;
-    } catch (const std::exception& e) {
-        engine.report(diag::Severity::Error, diag::codes::kSimStructure,
-                      std::string("model '") + model.name() +
-                          "' cannot be scheduled: " + e.what());
-        return std::nullopt;
     }
 }
 

@@ -25,7 +25,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -83,6 +82,12 @@ private:
     std::vector<CycleEdge> edges_;
 };
 
+/// Reports a combinational cycle found in a generated CAAM as the
+/// structured sim.deadlock error — the blocked blocks and each dependency
+/// edge as notes. The one converter: the flow's sim.schedulability probe
+/// and `uhcg map` both report through it.
+void report_deadlock(const DeadlockError& error, diag::DiagnosticEngine& engine);
+
 /// External input: value as a function of simulation time.
 using InputSignal = std::function<double(double t)>;
 
@@ -113,14 +118,6 @@ public:
     /// and std::runtime_error on unresolvable structure (undriven inputs,
     /// unregistered S-functions).
     Simulator(const simulink::Model& model, const SFunctionRegistry& registry);
-
-    /// Non-throwing factory: scheduling failures (combinational cycles,
-    /// undriven inputs, unregistered S-functions) become structured
-    /// diagnostics — sim.deadlock carries the stuck blocks and their
-    /// dependency edges as notes — and nullopt is returned.
-    static std::optional<Simulator> build(const simulink::Model& model,
-                                          const SFunctionRegistry& registry,
-                                          diag::DiagnosticEngine& engine);
 
     /// Binds the root Inport block named `name` (its Var parameter or block
     /// name) to a signal. Unbound inputs read 0.0.

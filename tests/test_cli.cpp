@@ -219,6 +219,16 @@ TEST_F(CliTest, DotWritesBothGraphs) {
     std::string caam_text((std::istreambuf_iterator<char>(caam)),
                           std::istreambuf_iterator<char>());
     EXPECT_NE(caam_text.find("CPU-SS"), std::string::npos);
+
+    // A feedback model cannot be linearly clustered: its task graph is
+    // drawn unclustered, cycle included, next to the CAAM diagram.
+    ASSERT_EQ(run("dot crane.xmi -o crane"), 0);
+    ASSERT_TRUE(fs::exists(dir / "crane_caam.dot"));
+    std::ifstream crane_tg(dir / "crane_taskgraph.dot");
+    std::string crane_text((std::istreambuf_iterator<char>(crane_tg)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_NE(crane_text.find("\"T3\" -> \"T1\""), std::string::npos)
+        << crane_text;
 }
 
 // --- exit-code semantics: 0 = all units ok, 1 = diagnostics, 2 = usage,

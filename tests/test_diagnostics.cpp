@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "cases/cases.hpp"
@@ -263,7 +264,12 @@ TEST(SimWatchdog, CombinationalCycleBecomesStructuredDiagnostic) {
     m.root().add_line({&g2, 1}, {&g1, 1});
     sim::SFunctionRegistry reg;
     diag::DiagnosticEngine engine;
-    auto simulator = sim::Simulator::build(m, reg, engine);
+    std::optional<sim::Simulator> simulator;
+    try {
+        simulator.emplace(m, reg);
+    } catch (const sim::DeadlockError& e) {
+        sim::report_deadlock(e, engine);
+    }
     EXPECT_FALSE(simulator.has_value());
     ASSERT_EQ(engine.count_code(diag::codes::kSimDeadlock), 1u)
         << engine.render_text();
@@ -287,7 +293,12 @@ TEST(SimWatchdog, StepBudgetCutsRunShort) {
     m.root().add_line({&c, 1}, {&out, 1});
     sim::SFunctionRegistry reg;
     diag::DiagnosticEngine engine;
-    auto simulator = sim::Simulator::build(m, reg, engine);
+    std::optional<sim::Simulator> simulator;
+    try {
+        simulator.emplace(m, reg);
+    } catch (const sim::DeadlockError& e) {
+        sim::report_deadlock(e, engine);
+    }
     ASSERT_TRUE(simulator.has_value()) << engine.render_text();
     sim::WatchdogBudget budget;
     budget.max_steps = 10;

@@ -360,6 +360,167 @@ TEST(Generate, MixedModelProducesAllBranches) {
     }
 }
 
+// --- dispatch pin: which branches run, in what order, under which groups ---------
+
+std::string joined(const std::vector<std::string>& items) {
+    std::string out;
+    for (const std::string& s : items) out += (out.empty() ? "" : ",") + s;
+    return out;
+}
+
+/// The dispatch decision of one generate run, one line per unit then one
+/// per traced pass:
+///   "<strategy> <subsystem>: <file> <file> ..."
+///   "<group> <pass> [<reads>] -> [<writes>] {<counter names>}"
+std::string dispatch_shape(const uml::Model& model,
+                           const flow::GenerateOptions& options) {
+    diag::DiagnosticEngine engine;
+    flow::FlowTrace trace;
+    flow::GenerateResult result = flow::generate(model, options, engine, &trace);
+    std::string out;
+    for (const flow::StrategyResult& sr : result.results) {
+        out += sr.strategy + " " + sr.subsystem + ":";
+        for (const flow::GeneratedFile& f : sr.files) out += " " + f.name;
+        out += "\n";
+    }
+    for (const flow::PassTraceEntry& e : trace.entries()) {
+        std::vector<std::string> counters;
+        for (const auto& [name, value] : e.counters) counters.push_back(name);
+        out += e.group + " " + e.pass + " [" + joined(e.reads) + "] -> [" +
+               joined(e.writes) + "] {" + joined(counters) + "}\n";
+    }
+    return out;
+}
+
+TEST(Generate, DispatchPinnedPerCaseStudyAndOptionSet) {
+    // Trace blocks several runs share.
+    const std::string dataflow_partition =
+        "partition flow.partition [uml.model] -> [flow.partition-report] "
+        "{dataflow,feedback-cycles,subsystems,taskgraph-edges,taskgraph-tasks}\n";
+    const std::string control_partition =
+        "partition flow.partition [uml.model] -> [flow.partition-report] "
+        "{control-flow,feedback-cycles,subsystems,taskgraph-edges,"
+        "taskgraph-tasks}\n";
+    const std::string caam_prep =
+        R"(simulink-caam:threads uml.wellformed [uml.model] -> [uml.issues] {issues}
+simulink-caam:threads core.comm [uml.model] -> [core.comm] {channels,io-accesses}
+simulink-caam:threads core.allocate [uml.model,core.comm] -> [core.allocation] {processors}
+simulink-caam:threads core.mapping [uml.model,core.comm,core.allocation] -> [core.caam-generic] {rule.Interaction2Layer,rule.Model2Caam,rule.ProducerOutports,rule.Thread2ThreadSS,trace-links}
+simulink-caam:threads caam.lift [core.caam-generic] -> [simulink.caam] {blocks}
+simulink-caam:threads caam.channels [simulink.caam,core.comm] -> [caam.channel-report] {inter,intra,system-ports}
+simulink-caam:threads caam.delays [simulink.caam] -> [caam.delay-report] {barriers}
+simulink-caam:threads caam.validate [simulink.caam] -> [] {problems}
+simulink-caam:threads sim.schedulability [simulink.caam] -> [] {probe-skipped}
+)";
+    const std::string estimate_priced =
+        "simulink-caam:threads sim.estimate [uml.model,core.comm,"
+        "core.allocation] -> [] "
+        "{estimate-bus-transfers,estimate-cpus,estimate-makespan}\n";
+    const std::string estimate_skipped =
+        "simulink-caam:threads sim.estimate [uml.model,core.comm,"
+        "core.allocation] -> [] {estimate-skipped}\n";
+    const std::string mdl_emit =
+        "simulink-caam:threads simulink.emit [caam.shared] -> "
+        "[simulink.mdl] {bytes}\n";
+    const std::string c_dot_emit =
+        R"(caam-c:threads caam.emit-c [caam.shared] -> [caam.c-program] {bytes,channels,files,sfunctions}
+caam-dot:threads caam.emit-dot [caam.shared] -> [caam.dot] {bytes}
+)";
+    const std::string threads_pass =
+        "cpp-threads:threads codegen.threads [uml.model] -> "
+        "[codegen.cpp-threads] {bytes,queues,threads}\n";
+    const std::string kpn_passes =
+        R"(kpn:threads kpn.map [uml.model] -> [kpn.network] {channels,initial-tokens,processes}
+kpn:threads kpn.validate [kpn.network] -> [] {budget-firings,firings,max-queue-depth,rounds}
+)";
+    const std::string fsm_passes =
+        R"(fsm-c:control:Elevator fsm.flatten [uml.statemachine] -> [fsm.machine] {states,transitions}
+fsm-c:control:Elevator fsm.emit-c [fsm.machine] -> [fsm.c] {bytes}
+)";
+
+    const std::string didactic_c_dot =
+        "caam-c threads: didactic_cpu_CPU1.c didactic_cpu_CPU2.c "
+        "didactic_main.c didactic_sfunctions.c didactic_sfunctions.h "
+        "didactic_uhcg_rt.h\n"
+        "caam-dot threads: didactic_caam.dot\n";
+    const std::string crane_c_dot =
+        "caam-c threads: crane_cpu_CPU1.c crane_main.c crane_sfunctions.c "
+        "crane_sfunctions.h crane_uhcg_rt.h\n"
+        "caam-dot threads: crane_caam.dot\n";
+    const std::string mixed_c_dot =
+        "caam-c threads: mixed_cpu_CPU1.c mixed_main.c mixed_sfunctions.c "
+        "mixed_sfunctions.h mixed_uhcg_rt.h\n"
+        "caam-dot threads: mixed_caam.dot\n";
+    const std::string mixed_fsm = "fsm-c control:Elevator: Elevator_fsm.h "
+                                  "Elevator_fsm.c\n";
+
+    flow::GenerateOptions defaults;
+    flow::GenerateOptions with_kpn;
+    with_kpn.with_kpn = true;
+    flow::GenerateOptions no_caam_c_dot;
+    no_caam_c_dot.caam_c = false;
+    no_caam_c_dot.caam_dot = false;
+
+    struct Case {
+        const char* label;
+        uml::Model model;
+        const flow::GenerateOptions* options;
+        std::string expected;
+    };
+    const Case cases[] = {
+        {"didactic/defaults", cases::didactic_model(), &defaults,
+         "simulink-caam threads: didactic.mdl\n" + didactic_c_dot +
+             "cpp-threads threads: didactic_threads.cpp\n" +
+             dataflow_partition + caam_prep + estimate_priced + mdl_emit +
+             c_dot_emit + threads_pass},
+        {"didactic/with_kpn", cases::didactic_model(), &with_kpn,
+         "simulink-caam threads: didactic.mdl\n" + didactic_c_dot +
+             "cpp-threads threads: didactic_threads.cpp\n"
+             "kpn threads: didactic_kpn.txt\n" +
+             dataflow_partition + caam_prep + estimate_priced + mdl_emit +
+             c_dot_emit + threads_pass + kpn_passes},
+        {"didactic/no_caam_c_dot", cases::didactic_model(), &no_caam_c_dot,
+         "simulink-caam threads: didactic.mdl\n"
+         "cpp-threads threads: didactic_threads.cpp\n" +
+             dataflow_partition + caam_prep + estimate_priced + mdl_emit +
+             threads_pass},
+        {"crane/defaults", cases::crane_model(), &defaults,
+         "simulink-caam threads: crane.mdl\n" + crane_c_dot +
+             "cpp-threads threads: crane_threads.cpp\n" + control_partition +
+             caam_prep + estimate_skipped + mdl_emit + c_dot_emit +
+             threads_pass},
+        {"crane/with_kpn", cases::crane_model(), &with_kpn,
+         "simulink-caam threads: crane.mdl\n" + crane_c_dot +
+             "cpp-threads threads: crane_threads.cpp\n"
+             "kpn threads: crane_kpn.txt\n" +
+             control_partition + caam_prep + estimate_skipped + mdl_emit +
+             c_dot_emit + threads_pass + kpn_passes},
+        {"crane/no_caam_c_dot", cases::crane_model(), &no_caam_c_dot,
+         "simulink-caam threads: crane.mdl\n"
+         "cpp-threads threads: crane_threads.cpp\n" +
+             control_partition + caam_prep + estimate_skipped + mdl_emit +
+             threads_pass},
+        {"mixed/defaults", cases::mixed_model(), &defaults,
+         mixed_fsm + "simulink-caam threads: mixed.mdl\n" + mixed_c_dot +
+             "cpp-threads threads: mixed_threads.cpp\n" + control_partition +
+             fsm_passes + caam_prep + estimate_skipped + mdl_emit +
+             c_dot_emit + threads_pass},
+        {"mixed/with_kpn", cases::mixed_model(), &with_kpn,
+         mixed_fsm + "simulink-caam threads: mixed.mdl\n" + mixed_c_dot +
+             "cpp-threads threads: mixed_threads.cpp\n"
+             "kpn threads: mixed_kpn.txt\n" +
+             control_partition + fsm_passes + caam_prep + estimate_skipped +
+             mdl_emit + c_dot_emit + threads_pass + kpn_passes},
+        {"mixed/no_caam_c_dot", cases::mixed_model(), &no_caam_c_dot,
+         mixed_fsm + "simulink-caam threads: mixed.mdl\n"
+                     "cpp-threads threads: mixed_threads.cpp\n" +
+             control_partition + fsm_passes + caam_prep + estimate_skipped +
+             mdl_emit + threads_pass},
+    };
+    for (const Case& c : cases)
+        EXPECT_EQ(dispatch_shape(c.model, *c.options), c.expected) << c.label;
+}
+
 TEST(Generate, TraceJsonMatchesSchema) {
     uml::Model model = cases::mixed_model();
     flow::GenerateOptions options;

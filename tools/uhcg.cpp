@@ -499,7 +499,7 @@ int cmd_map(const uml::Model& model, const Cli& cli,
         sim::SFunctionRegistry probe;
         sim::Simulator check_schedule(*caam, probe);
     } catch (const sim::DeadlockError& e) {
-        flow::report_caam_deadlock(e, engine);
+        sim::report_deadlock(e, engine);
         return kExitDiagnostics;
     } catch (const std::exception&) {
         // Other structure issues (unregistered S-functions in the empty
@@ -697,22 +697,28 @@ int cmd_dot(const uml::Model& model, const Cli& cli,
             diag::DiagnosticEngine& engine) {
     core::CommModel comm = core::analyze_communication(model);
     // Task graph with the clustering the flow would pick (Fig. 7 style).
+    // Linear clustering needs a DAG, so a feedback model (a closed control
+    // loop such as the crane) is drawn unclustered.
     taskgraph::TaskGraph graph = core::build_task_graph(model, comm);
-    taskgraph::Clustering clustering = core::auto_clustering(model, comm);
-    std::string base = cli.output.empty() ? model.name() : cli.output;
-    {
-        std::ofstream f(base + "_taskgraph.dot");
-        taskgraph::DotOptions options;
-        options.name = model.name();
-        f << taskgraph::to_dot(graph, clustering, options);
+    taskgraph::DotOptions options;
+    options.name = model.name();
+    std::string taskgraph_dot;
+    if (graph.is_acyclic()) {
+        taskgraph_dot = taskgraph::to_dot(
+            graph, core::auto_clustering(model, comm), options);
+    } else {
+        engine.warning(diag::codes::kDseModel,
+                       "task graph of model '" + model.name() +
+                           "' has a feedback cycle; linear clustering needs "
+                           "a DAG, so it is drawn unclustered");
+        taskgraph_dot = taskgraph::to_dot(graph, options);
     }
+    std::string base = cli.output.empty() ? model.name() : cli.output;
+    flow::write_file_atomic(base + "_taskgraph.dot", taskgraph_dot);
     // The generated CAAM as a block diagram (Fig. 3(c)/8 style).
     auto caam = core::map_to_caam(model, cli.mapper, engine);
     if (!caam) return kExitDiagnostics;
-    {
-        std::ofstream f(base + "_caam.dot");
-        f << simulink::to_dot(*caam);
-    }
+    flow::write_file_atomic(base + "_caam.dot", simulink::to_dot(*caam));
     std::cout << "wrote " << base << "_taskgraph.dot and " << base
               << "_caam.dot (render with: dot -Tpng -O <file>)\n";
     return kExitOk;
