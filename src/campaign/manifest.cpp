@@ -39,9 +39,9 @@ bool string_list(const obs::json::Value& value, std::vector<std::string>& out) {
 }
 
 bool read_size(const obs::json::Value& value, std::size_t& out) {
-    if (!value.is_number() || value.number < 0) return false;
-    out = static_cast<std::size_t>(value.number);
-    return true;
+    std::optional<std::size_t> n = obs::json::to_unsigned<std::size_t>(value);
+    if (n) out = *n;
+    return n.has_value();
 }
 
 /// File-system-safe job directory component.

@@ -17,24 +17,11 @@ using simulink::CaamRole;
 using simulink::Line;
 using simulink::PortRef;
 using simulink::System;
+using simulink::port_number;
 using transform::CodeWriter;
 using transform::sanitize_identifier;
 
 namespace {
-
-int port_number(const Block& b) {
-    std::string text = b.parameter_or("Port", "1");
-    try {
-        std::size_t used = 0;
-        int value = std::stoi(text, &used);
-        if (used != text.size()) throw std::invalid_argument(text);
-        return value;
-    } catch (const std::exception&) {
-        throw std::runtime_error("block '" + b.name() +
-                                 "' has a non-numeric Port parameter ('" + text +
-                                 "')");
-    }
-}
 
 /// Where a thread boundary port connects outside the Thread-SS.
 struct Endpoint {

@@ -24,12 +24,13 @@ struct Atom {
     friend auto operator<=>(const Atom&, const Atom&) = default;
 };
 
-/// An edge of the dependency graph. Line edges remember the concrete Line
-/// and destination so a UnitDelay can be spliced in.
+/// An edge of the dependency graph: along a line (into the input port
+/// `to`, where a UnitDelay can be spliced in) or within a block.
 struct Dep {
     Atom to;
-    Line* line = nullptr;  // nullptr for intra-block dependencies
-    PortRef line_dst;      // valid when line != nullptr
+    bool line = false;
+
+    PortRef line_dst() const { return {const_cast<Block*>(to.block), to.port}; }
 };
 
 class CycleAnalyzer {
@@ -47,7 +48,7 @@ public:
         // Outport (Port=j) ⇒ in i → out j is combinational.
         for (const Block* b : sys.blocks()) {
             if (b->type() != BlockType::Inport) continue;
-            int i = std::stoi(b->parameter_or("Port", "0"));
+            int i = simulink::port_number(*b);
             if (i <= 0 || i > sub.input_count()) continue;
             std::set<Atom> visited;
             std::vector<Atom> stack{{b, 1, true}};
@@ -59,7 +60,7 @@ public:
             }
             for (const Block* o : sys.blocks()) {
                 if (o->type() != BlockType::Outport) continue;
-                int j = std::stoi(o->parameter_or("Port", "0"));
+                int j = simulink::port_number(*o);
                 if (j <= 0 || j > sub.output_count()) continue;
                 if (visited.count({o, 1, false}) != 0) table[i][j] = true;
             }
@@ -75,9 +76,7 @@ public:
             if (const Line* line =
                     sys.line_from({const_cast<Block*>(atom.block), atom.port})) {
                 for (const PortRef& dst : line->destinations())
-                    out.push_back({{dst.block, dst.port, false},
-                                   const_cast<Line*>(line),
-                                   dst});
+                    out.push_back({{dst.block, dst.port, false}, true});
             }
             return out;
         }
@@ -94,26 +93,27 @@ public:
                 for (int j = 1; j <= b.output_count(); ++j)
                     if (table[static_cast<std::size_t>(atom.port)]
                              [static_cast<std::size_t>(j)])
-                        out.push_back({{&b, j, true}, nullptr, {}});
+                        out.push_back({{&b, j, true}});
                 break;
             }
             default:
                 // Product, Sum, Gain, S-Function, CommChannel, Constant:
                 // every input feeds every output within the step.
                 for (int j = 1; j <= b.output_count(); ++j)
-                    out.push_back({{&b, j, true}, nullptr, {}});
+                    out.push_back({{&b, j, true}});
                 break;
         }
         return out;
     }
 
-    /// Finds one combinational cycle in `sys`; returns a Line on it to cut
-    /// (the "data link where the loop is detected"). nullopt = acyclic.
-    std::optional<std::pair<Line*, PortRef>> find_cycle(const System& sys) {
+    /// Finds one combinational cycle in `sys`; returns the destination of
+    /// a line on it to cut (the "data link where the loop is detected").
+    /// nullopt = acyclic.
+    std::optional<PortRef> find_cycle(const System& sys) {
         std::map<Atom, int> color;  // 0 white, 1 gray, 2 black
         std::vector<std::pair<Atom, Dep>> path;  // (atom, edge taken into it)
 
-        std::optional<std::pair<Line*, PortRef>> result;
+        std::optional<PortRef> result;
         auto dfs = [&](auto&& self, const Atom& a) -> bool {
             color[a] = 1;
             for (const Dep& d : dependencies(sys, a)) {
@@ -123,7 +123,7 @@ public:
                     // d.to. Cut at the back edge when it is a line,
                     // otherwise at the last line edge on the suffix.
                     if (d.line) {
-                        result = {{d.line, d.line_dst}};
+                        result = d.line_dst();
                         return true;
                     }
                     for (auto it = path.rbegin(); it != path.rend(); ++it) {
@@ -132,7 +132,7 @@ public:
                         // before considering it.
                         if (it->first == d.to) break;
                         if (it->second.line) {
-                            result = {{it->second.line, it->second.line_dst}};
+                            result = it->second.line_dst();
                             return true;
                         }
                     }
@@ -167,34 +167,23 @@ private:
     std::map<const Block*, std::vector<std::vector<bool>>> reach_memo_;
 };
 
-std::string delay_name(System& sys) {
-    if (!sys.find_block("Delay")) return "Delay";
-    int i = 1;
-    while (sys.find_block("Delay_" + std::to_string(i))) ++i;
-    return "Delay_" + std::to_string(i);
-}
-
 /// Breaks all cycles in one system (children must already be processed).
 void break_cycles(System& sys, CycleAnalyzer& analyzer, DelayReport& report) {
     for (;;) {
-        auto cut = analyzer.find_cycle(sys);
-        if (!cut) return;
-        auto [line, dst] = *cut;
-        PortRef src = line->source();
-        std::string signal = line->name();
-
-        line->remove_destination(dst);
-        if (line->destinations().empty()) sys.remove_line(*line);
-        Block& delay = sys.add_block(delay_name(sys), BlockType::UnitDelay);
+        std::optional<PortRef> dst = analyzer.find_cycle(sys);
+        if (!dst) return;
+        auto [src, signal] = sys.disconnect(*dst);
+        Block& delay =
+            sys.add_block(sys.unique_name("Delay"), BlockType::UnitDelay);
         delay.set_parameter("SampleTime", "-1");
         sys.add_line(src, {&delay, 1}, signal);
-        sys.add_line({&delay, 1}, dst, signal);
+        sys.add_line({&delay, 1}, *dst, signal);
 
         ++report.inserted;
         report.locations.push_back(sys.name() + ": " + src.block->name() + "." +
                                    std::to_string(src.port) + " -> " +
-                                   dst.block->name() + "." +
-                                   std::to_string(dst.port));
+                                   dst->block->name() + "." +
+                                   std::to_string(dst->port));
     }
 }
 

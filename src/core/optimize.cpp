@@ -17,14 +17,6 @@ using simulink::System;
 
 namespace {
 
-/// Unique block name within a system.
-std::string unique_block_name(System& sys, const std::string& hint) {
-    if (!sys.find_block(hint)) return hint;
-    int i = 1;
-    while (sys.find_block(hint + "_" + std::to_string(i))) ++i;
-    return hint + "_" + std::to_string(i);
-}
-
 /// Thread-SS block for a thread name, anywhere under the root.
 Block* find_thread_ss(simulink::Model& model, const std::string& thread) {
     for (Block* cpu : simulink::cpu_subsystems(model)) {
@@ -42,7 +34,7 @@ int add_subsystem_input(Block& sub, const std::string& name, PortRef inner_dst) 
     int index = sub.input_count() + 1;
     sub.set_ports(index, sub.output_count());
     sub.set_input_name(index, name);
-    Block& in = sys.add_block(unique_block_name(sys, name), BlockType::Inport);
+    Block& in = sys.add_block(sys.unique_name(name), BlockType::Inport);
     in.set_parameter("Port", std::to_string(index));
     sys.add_line({&in, 1}, inner_dst, name);
     return index;
@@ -53,8 +45,7 @@ int add_subsystem_output(Block& sub, const std::string& name, PortRef inner_src)
     int index = sub.output_count() + 1;
     sub.set_ports(sub.input_count(), index);
     sub.set_output_name(index, name);
-    Block& out =
-        sys.add_block(unique_block_name(sys, name + "_out"), BlockType::Outport);
+    Block& out = sys.add_block(sys.unique_name(name + "_out"), BlockType::Outport);
     out.set_parameter("Port", std::to_string(index));
     sys.add_line(inner_src, {&out, 1}, name);
     return index;
@@ -130,8 +121,8 @@ ChannelReport infer_channels(simulink::Model& model, const CommModel& comm) {
             // Intra-SS channel (SWFIFO) inside the shared CPU-SS.
             System& sys = *p_cpu->system();
             Block& chan = sys.add_block(
-                unique_block_name(sys, "chan_" + c.producer->name() + "_" +
-                                           c.consumer->name() + "_" + c.variable),
+                sys.unique_name("chan_" + c.producer->name() + "_" +
+                                c.consumer->name() + "_" + c.variable),
                 BlockType::CommChannel);
             chan.set_role(CaamRole::IntraCpuChannel);
             chan.set_parameter("Protocol", simulink::kProtocolSwFifo);
@@ -144,8 +135,8 @@ ChannelReport infer_channels(simulink::Model& model, const CommModel& comm) {
             int p_cpu_out = get_cpu_output(*p_tss, c.variable);
             int c_cpu_in = add_subsystem_input(*c_cpu, c.variable, {c_tss, dst_port});
             Block& chan = root.add_block(
-                unique_block_name(root, "chan_" + c.producer->name() + "_" +
-                                            c.consumer->name() + "_" + c.variable),
+                root.unique_name("chan_" + c.producer->name() + "_" +
+                                 c.consumer->name() + "_" + c.variable),
                 BlockType::CommChannel);
             chan.set_role(CaamRole::InterCpuChannel);
             chan.set_parameter("Protocol", simulink::kProtocolGFifo);
@@ -164,12 +155,12 @@ ChannelReport infer_channels(simulink::Model& model, const CommModel& comm) {
                 const std::string* kind = boundary->find_parameter("CommKind");
                 if (!kind || *kind == kCommKindChannel) continue;
                 const std::string var = boundary->parameter_or("Var", "?");
-                int tss_port = std::stoi(boundary->parameter_or("Port", "0"));
+                int tss_port = simulink::port_number(*boundary);
                 if (boundary->type() == BlockType::Inport) {
                     // Thread input ← CPU input ← system Inport block.
                     int cpu_in = add_subsystem_input(*cpu, var, {tss, tss_port});
                     Block& sys_in = root.add_block(
-                        unique_block_name(root, "In" + std::to_string(next_in)),
+                        root.unique_name("In" + std::to_string(next_in)),
                         BlockType::Inport);
                     sys_in.set_parameter("Port", std::to_string(next_in));
                     sys_in.set_parameter("Var", var);
@@ -180,7 +171,7 @@ ChannelReport infer_channels(simulink::Model& model, const CommModel& comm) {
                            *kind == kCommKindIo) {
                     int cpu_out = add_subsystem_output(*cpu, var, {tss, tss_port});
                     Block& sys_out = root.add_block(
-                        unique_block_name(root, "Out" + std::to_string(next_out)),
+                        root.unique_name("Out" + std::to_string(next_out)),
                         BlockType::Outport);
                     sys_out.set_parameter("Port", std::to_string(next_out));
                     sys_out.set_parameter("Var", var);

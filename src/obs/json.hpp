@@ -8,9 +8,13 @@
 // link it without pulling in the model stack.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
+#include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -38,6 +42,24 @@ public:
     /// First member named `key`, or nullptr (also for non-objects).
     const Value* find(std::string_view key) const;
 };
+
+/// `value` as an unsigned integer of type `T`, or nullopt unless it is a
+/// finite, non-negative, integral number that fits `T`. Counts read from
+/// untrusted documents go through here: a plain `static_cast` of a negative
+/// or out-of-range double is undefined behaviour, and of a fractional one
+/// silently truncates.
+template <typename T>
+std::optional<T> to_unsigned(const Value& value) {
+    static_assert(std::is_unsigned_v<T>);
+    if (!value.is_number()) return std::nullopt;
+    const double n = value.number;
+    // 2^digits is exact as a double, and every integral double below it
+    // fits T.
+    if (!(n >= 0) || n != std::floor(n) ||
+        n >= std::ldexp(1.0, std::numeric_limits<T>::digits))
+        return std::nullopt;
+    return static_cast<T>(n);
+}
 
 /// Resource limits enforced while parsing. The defaults are generous
 /// enough for every trusted artifact in the repo (bench reports, traces),

@@ -75,6 +75,23 @@ double param_number(const obs::json::Value& doc, std::string_view key,
     return v && v->is_number() ? v->number : fallback;
 }
 
+/// A request param `handle` answers with `serve.bad-request`.
+struct BadParam : std::runtime_error {
+    using std::runtime_error::runtime_error;
+};
+
+/// A count param: `fallback` when absent or not a number; BadParam, naming
+/// the param, unless a non-negative integer that fits `T`.
+template <typename T>
+T param_count(const obs::json::Value& doc, std::string_view key, T fallback) {
+    const obs::json::Value* v = find_param(doc, key);
+    if (!v || !v->is_number()) return fallback;
+    if (std::optional<T> n = obs::json::to_unsigned<T>(*v)) return *n;
+    throw BadParam("param '" + std::string(key) +
+                   "' must be a non-negative integer in range (got " +
+                   number_text(v->number) + ")");
+}
+
 bool param_bool(const obs::json::Value& doc, std::string_view key,
                 bool fallback = false) {
     const obs::json::Value* v = find_param(doc, key);
@@ -195,6 +212,9 @@ std::string Engine::handle(std::string_view request_json,
     std::string response;
     try {
         response = dispatch(id, method, doc, received, deadline_ms);
+    } catch (const BadParam& e) {
+        obs::counter("serve.bad_requests").add(1);
+        response = error_response(id, "serve.bad-request", e.what());
     } catch (const std::exception& e) {
         // Per-request fault isolation: whatever escaped, only this
         // request fails; the daemon keeps serving.
@@ -389,18 +409,16 @@ std::string Engine::dispatch(const std::string& id, const std::string& method,
     if (method == "generate") {
         flow::GenerateOptions options;
         options.mapper.auto_allocate = param_bool(doc, "auto_allocate", false);
-        options.mapper.max_processors = static_cast<std::size_t>(
-            param_number(doc, "max_processors", 0));
-        options.iterations =
-            static_cast<std::size_t>(param_number(doc, "iterations", 100));
+        options.mapper.max_processors =
+            param_count<std::size_t>(doc, "max_processors", 0);
+        options.iterations = param_count<std::size_t>(doc, "iterations", 100);
         options.with_kpn = param_bool(doc, "with_kpn", false);
         options.caam_c = param_bool(doc, "caam_c", true);
         options.caam_dot = param_bool(doc, "caam_dot", true);
-        options.gen_jobs =
-            static_cast<std::size_t>(param_number(doc, "gen_jobs", 1));
+        options.gen_jobs = param_count<std::size_t>(doc, "gen_jobs", 1);
         options.resilience.model_bytes = resident->bytes;
-        options.resilience.pass_budget.wall_ms = static_cast<std::uint64_t>(
-            param_number(doc, "pass_budget_ms", 0));
+        options.resilience.pass_budget.wall_ms =
+            param_count<std::uint64_t>(doc, "pass_budget_ms", 0);
         if (remaining_ms &&
             (!options.resilience.pass_budget.wall_ms ||
              options.resilience.pass_budget.wall_ms > remaining_ms))
@@ -470,13 +488,12 @@ std::string Engine::dispatch(const std::string& id, const std::string& method,
 
     if (method == "explore") {
         dse::ExploreOptions options;
-        options.max_processors = static_cast<std::size_t>(
-            param_number(doc, "max_processors", 0));
-        options.jobs = static_cast<std::size_t>(param_number(doc, "jobs", 1));
-        options.random_samples = static_cast<std::size_t>(
-            param_number(doc, "random_samples", 3));
-        options.chunk_size =
-            static_cast<std::size_t>(param_number(doc, "chunk", 0));
+        options.max_processors =
+            param_count<std::size_t>(doc, "max_processors", 0);
+        options.jobs = param_count<std::size_t>(doc, "jobs", 1);
+        options.random_samples =
+            param_count<std::size_t>(doc, "random_samples", 3);
+        options.chunk_size = param_count<std::size_t>(doc, "chunk", 0);
         options.verify_full = param_bool(doc, "verify_full", false);
         options.backend = param_string(doc, "backend");
         if (!sim::find_backend(options.backend))
@@ -538,7 +555,7 @@ std::string Engine::dispatch(const std::string& id, const std::string& method,
     params.gfifo_cost_per_byte = param_number(doc, "gfifo_cost_per_byte",
                                               params.gfifo_cost_per_byte);
     std::size_t max_processors =
-        static_cast<std::size_t>(param_number(doc, "max_processors", 0));
+        param_count<std::size_t>(doc, "max_processors", 0);
     std::string backend = param_string(doc, "backend");
     const sim::Backend* pricing = sim::find_backend(backend);
     if (!pricing)

@@ -12,6 +12,8 @@ using simulink::BlockType;
 using simulink::Line;
 using simulink::PortRef;
 using simulink::System;
+using simulink::full_path;
+using simulink::port_number;
 
 void SFunctionRegistry::register_function(std::string name, SFunction fn,
                                           std::size_t state_size) {
@@ -73,14 +75,6 @@ bool is_marker(const Block& b, const System& root) {
     return b.parent() != &root;
 }
 
-std::string full_path(const Block& b) {
-    std::string path = b.name();
-    for (const System* s = b.parent(); s && s->owner_block();
-         s = s->owner_block()->parent())
-        path = s->owner_block()->name() + "/" + path;
-    return path;
-}
-
 /// Numeric block parameters parsed with context: a corrupt model file must
 /// name the block and parameter at fault, not die in a bare std::stod.
 double param_double(const Block& b, const char* name, const char* fallback) {
@@ -93,19 +87,6 @@ double param_double(const Block& b, const char* name, const char* fallback) {
     } catch (const std::exception&) {
         throw std::runtime_error("block '" + full_path(b) + "' parameter '" +
                                  name + "' is not a number (got '" + v + "')");
-    }
-}
-
-int port_number(const Block& b) {
-    std::string v = b.parameter_or("Port", "1");
-    try {
-        std::size_t used = 0;
-        int parsed = std::stoi(v, &used);
-        if (used != v.size()) throw std::invalid_argument(v);
-        return parsed;
-    } catch (const std::exception&) {
-        throw std::runtime_error("block '" + full_path(b) +
-                                 "' has a non-numeric Port (got '" + v + "')");
     }
 }
 

@@ -1,7 +1,11 @@
 #include "simulink/model.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
+#include <utility>
+
+#include "obs/obs.hpp"
 
 namespace uhcg::simulink {
 
@@ -82,8 +86,6 @@ Block::Block(std::string name, BlockType type, System* parent)
 
 Block::~Block() = default;
 
-void Block::rename(std::string name) { name_ = std::move(name); }
-
 void Block::set_parameter(std::string_view key, std::string_view value) {
     params_.insert_or_assign(std::string(key), std::string(value));
 }
@@ -143,6 +145,21 @@ int Block::output_named(std::string_view name) const {
 
 // --- System ------------------------------------------------------------------
 
+namespace {
+
+/// Adds the elements a linear lookup visited (up to and including the hit)
+/// to `simulink.lookup_scans`, one relaxed add per call; returns the hit or
+/// nullptr.
+template <typename Items, typename It>
+auto* scanned(const Items& items, It hit) {
+    static obs::Counter& scans = obs::counter("simulink.lookup_scans");
+    scans.add(static_cast<std::uint64_t>(hit - items.begin()) +
+              (hit != items.end() ? 1 : 0));
+    return hit == items.end() ? nullptr : hit->get();
+}
+
+}  // namespace
+
 Block& System::add_block(std::string name, BlockType type) {
     if (find_block(name))
         throw std::invalid_argument("duplicate block name '" + name +
@@ -158,15 +175,19 @@ Block& System::add_subsystem(std::string name, CaamRole role) {
 }
 
 Block* System::find_block(std::string_view name) {
-    for (const auto& b : blocks_)
-        if (b->name() == name) return b.get();
-    return nullptr;
+    return const_cast<Block*>(std::as_const(*this).find_block(name));
 }
 
 const Block* System::find_block(std::string_view name) const {
-    for (const auto& b : blocks_)
-        if (b->name() == name) return b.get();
-    return nullptr;
+    auto named = [&](const auto& b) { return b->name() == name; };
+    return scanned(blocks_, std::find_if(blocks_.begin(), blocks_.end(), named));
+}
+
+std::string System::unique_name(const std::string& hint) const {
+    if (!find_block(hint)) return hint;
+    int i = 1;
+    while (find_block(hint + "_" + std::to_string(i))) ++i;
+    return hint + "_" + std::to_string(i);
 }
 
 std::vector<Block*> System::blocks() {
@@ -220,11 +241,8 @@ void System::remove_block(Block& block) {
     blocks_.erase(it);
 }
 
-bool Line::remove_destination(const PortRef& dst) {
-    auto it = std::find(dsts_.begin(), dsts_.end(), dst);
-    if (it == dsts_.end()) return false;
-    dsts_.erase(it);
-    return true;
+void Line::remove_destination(const PortRef& dst) {
+    dsts_.erase(std::find(dsts_.begin(), dsts_.end(), dst));
 }
 
 Line& System::add_line(PortRef src, PortRef dst, std::string name) {
@@ -245,40 +263,34 @@ Line& System::add_line(PortRef src, PortRef dst, std::string name) {
                                     " is already driven");
     // Simulink semantics: one line per source port; further sinks branch.
     if (Line* existing = line_from(src)) {
-        existing->add_destination(dst);
-        if (existing->name().empty() && !name.empty())
-            existing->set_name(std::move(name));
+        existing->dsts_.push_back(dst);
+        if (existing->name().empty()) existing->name_ = std::move(name);
         return *existing;
     }
     lines_.push_back(std::make_unique<Line>(src, std::move(name)));
-    lines_.back()->add_destination(dst);
+    lines_.back()->dsts_.push_back(dst);
     return *lines_.back();
 }
 
 Line* System::line_from(const PortRef& src) {
-    for (const auto& l : lines_)
-        if (l->source() == src) return l.get();
-    return nullptr;
+    return const_cast<Line*>(std::as_const(*this).line_from(src));
 }
 
 const Line* System::line_from(const PortRef& src) const {
-    for (const auto& l : lines_)
-        if (l->source() == src) return l.get();
-    return nullptr;
+    auto from = [&](const auto& l) { return l->source() == src; };
+    return scanned(lines_, std::find_if(lines_.begin(), lines_.end(), from));
 }
 
 Line* System::line_into(const PortRef& dst) {
-    for (const auto& l : lines_)
-        for (const PortRef& d : l->destinations())
-            if (d == dst) return l.get();
-    return nullptr;
+    return const_cast<Line*>(std::as_const(*this).line_into(dst));
 }
 
 const Line* System::line_into(const PortRef& dst) const {
-    for (const auto& l : lines_)
-        for (const PortRef& d : l->destinations())
-            if (d == dst) return l.get();
-    return nullptr;
+    auto into = [&](const auto& l) {
+        const auto& d = l->destinations();
+        return std::find(d.begin(), d.end(), dst) != d.end();
+    };
+    return scanned(lines_, std::find_if(lines_.begin(), lines_.end(), into));
 }
 
 std::vector<Line*> System::lines() {
@@ -301,6 +313,18 @@ void System::remove_line(Line& line) {
     lines_.erase(it);
 }
 
+std::pair<PortRef, std::string> System::disconnect(const PortRef& dst) {
+    Line* line = line_into(dst);
+    if (!line)
+        throw std::invalid_argument("disconnect: input port " +
+                                    std::to_string(dst.port) +
+                                    " is not driven in system " + name_);
+    std::pair<PortRef, std::string> removed{line->source(), line->name()};
+    line->remove_destination(dst);
+    if (line->destinations().empty()) remove_line(*line);
+    return removed;
+}
+
 std::size_t System::total_blocks() const {
     std::size_t count = blocks_.size();
     for (const auto& b : blocks_)
@@ -313,6 +337,27 @@ std::size_t System::total_lines() const {
     for (const auto& b : blocks_)
         if (b->system()) count += b->system()->total_lines();
     return count;
+}
+
+std::string full_path(const Block& block) {
+    std::string path = block.name();
+    for (const System* s = block.parent(); s && s->owner_block();
+         s = s->owner_block()->parent())
+        path = s->owner_block()->name() + "/" + path;
+    return path;
+}
+
+int port_number(const Block& block) {
+    std::string v = block.parameter_or("Port", "1");
+    try {
+        std::size_t used = 0;
+        int parsed = std::stoi(v, &used);
+        if (used != v.size()) throw std::invalid_argument(v);
+        return parsed;
+    } catch (const std::exception&) {
+        throw std::runtime_error("block '" + full_path(block) +
+                                 "' has a non-numeric Port (got '" + v + "')");
+    }
 }
 
 // --- Model -----------------------------------------------------------------

@@ -14,6 +14,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace uhcg::simulink {
@@ -78,7 +79,6 @@ public:
     Block& operator=(const Block&) = delete;
 
     const std::string& name() const { return name_; }
-    void rename(std::string name);
     BlockType type() const { return type_; }
     System* parent() const { return parent_; }
 
@@ -132,27 +132,29 @@ private:
 };
 
 /// A signal line from one source port to one or more destination ports
-/// (Simulink branches).
+/// (Simulink branches). Only its System rewires or renames it.
 class Line {
 public:
     Line(PortRef src, std::string name) : src_(src), name_(std::move(name)) {}
 
     const PortRef& source() const { return src_; }
     const std::vector<PortRef>& destinations() const { return dsts_; }
-    void add_destination(PortRef dst) { dsts_.push_back(dst); }
-    bool remove_destination(const PortRef& dst);
 
     /// Signal name (the UML argument name that produced the link).
     const std::string& name() const { return name_; }
-    void set_name(std::string name) { name_ = std::move(name); }
 
 private:
+    friend class System;
+
+    void remove_destination(const PortRef& dst);
+
     PortRef src_;
     std::vector<PortRef> dsts_;
     std::string name_;
 };
 
 /// A container of blocks and lines: the model root or a subsystem body.
+/// Every line edit and every fresh block name goes through its methods.
 class System {
 public:
     friend class Model;
@@ -171,6 +173,9 @@ public:
     Block& add_subsystem(std::string name, CaamRole role = CaamRole::None);
     Block* find_block(std::string_view name);
     const Block* find_block(std::string_view name) const;
+    /// `hint` if no block has that name, else the first free `hint_<i>`
+    /// (i = 1, 2, ...).
+    std::string unique_name(const std::string& hint) const;
     std::vector<Block*> blocks();
     std::vector<const Block*> blocks() const;
     std::vector<Block*> blocks_of(BlockType type);
@@ -189,6 +194,10 @@ public:
     std::vector<Line*> lines();
     std::vector<const Line*> lines() const;
     void remove_line(Line& line);
+    /// Detaches `dst` from the line feeding it, removing the line once no
+    /// destination is left. Returns that line's source and signal name;
+    /// throws std::invalid_argument when `dst` is undriven.
+    std::pair<PortRef, std::string> disconnect(const PortRef& dst);
 
     /// Deep counts over this system and all nested subsystems.
     std::size_t total_blocks() const;
@@ -201,6 +210,15 @@ private:
     std::vector<std::unique_ptr<Block>> blocks_;
     std::vector<std::unique_ptr<Line>> lines_;
 };
+
+/// "Sub/.../Block" path from the model root (the root system's name is
+/// left out).
+std::string full_path(const Block& block);
+
+/// The `Port` parameter of a subsystem Inport/Outport marker: 1 when it is
+/// missing; throws std::runtime_error naming the block's full path when it
+/// is not a number.
+int port_number(const Block& block);
 
 /// A Simulink model: solver settings + the root system.
 class Model {

@@ -147,6 +147,37 @@ TEST_F(Campaign, ManifestRejectsBadInputsWithStructuredErrors) {
     }
 }
 
+TEST_F(Campaign, ManifestCountsMustBeIntegralAndInRange) {
+    // Negatives were rejected before; fractions and out-of-range values
+    // were truncated or cast with undefined behaviour.
+    const char* bad[] = {
+        R"("explore": {"max_processors": 2.5})",
+        R"("explore": {"random_samples": 1e30})",
+        R"("explore": {"max_processors": -1})",
+        R"("generate": {"iterations": 0.5})",
+        R"("generate": {"iterations": 1e300})",
+    };
+    for (const char* field : bad) {
+        std::string text =
+            std::string(R"({"schema": "uhcg-campaign-v1", "models": "a", )") +
+            field + "}";
+        diag::DiagnosticEngine engine;
+        campaign::parse_manifest(text, engine);
+        EXPECT_EQ(engine.count_code(diag::codes::kCampaignManifest), 1u)
+            << text;
+    }
+    diag::DiagnosticEngine engine;
+    campaign::Manifest m = campaign::parse_manifest(
+        R"({"schema": "uhcg-campaign-v1", "models": "a",
+            "explore": {"max_processors": 4, "random_samples": 0},
+            "generate": {"iterations": 7}})",
+        engine);
+    EXPECT_FALSE(engine.has_errors());
+    EXPECT_EQ(m.max_processors, 4u);
+    EXPECT_EQ(m.random_samples, 0u);
+    EXPECT_EQ(m.iterations, 7u);
+}
+
 TEST_F(Campaign, ManifestRejectsRemovedSdfBackend) {
     // The static-schedule backend is gone with no alias: a manifest naming
     // it fails validation with the registry's unknown-backend text.

@@ -7,6 +7,7 @@
 #include "core/optimize.hpp"
 #include "core/pipeline.hpp"
 #include "simulink/caam.hpp"
+#include "simulink/mdl.hpp"
 #include "uml/builder.hpp"
 
 namespace {
@@ -220,6 +221,33 @@ TEST(TemporalBarriers, CycleThroughSubsystemDetected) {
     DelayReport report = insert_temporal_barriers(m);
     EXPECT_EQ(report.inserted, 1u);
     EXPECT_FALSE(has_combinational_cycle(m));
+}
+
+TEST(TemporalBarriers, NonNumericSubsystemPortNamesTheBlock) {
+    // A parsed model whose subsystem Inport carries Port "x": the error
+    // names the block's full path instead of a bare stoi failure.
+    simulink::Model built("bad");
+    Block& sub = built.root().add_subsystem("S");
+    sub.set_ports(1, 1);
+    Block& in = sub.system()->add_block("in", BlockType::Inport);
+    in.set_parameter("Port", "x");
+    Block& out = sub.system()->add_block("out", BlockType::Outport);
+    out.set_parameter("Port", "1");
+    sub.system()->add_line({&in, 1}, {&out, 1});
+    Block& g = built.root().add_block("g", BlockType::Gain);
+    built.root().add_line({&sub, 1}, {&g, 1});
+    built.root().add_line({&g, 1}, {&sub, 1});
+    simulink::Model m = simulink::parse_mdl(simulink::write_mdl(built));
+    ASSERT_EQ(*m.root().find_block("S")->system()->find_block("in")
+                   ->find_parameter("Port"),
+              "x");
+    try {
+        insert_temporal_barriers(m);
+        ADD_FAILURE() << "no error for Port \"x\"";
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("'S/in'"), std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(TemporalBarriers, BranchedLineOnlyCutsTheLoopingArm) {

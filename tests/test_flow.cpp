@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <map>
 
+#include "campaign/corpus.hpp"
 #include "cases/cases.hpp"
+#include "core/hash.hpp"
 #include "core/pipeline.hpp"
 #include "flow/caam_passes.hpp"
 #include "flow/generate.hpp"
@@ -372,15 +376,24 @@ std::string joined(const std::vector<std::string>& items) {
 /// per traced pass:
 ///   "<strategy> <subsystem>: <file> <file> ..."
 ///   "<group> <pass> [<reads>] -> [<writes>] {<counter names>}"
+/// Each file's FNV-1a digest (16 hex digits) is added to `digests`.
 std::string dispatch_shape(const uml::Model& model,
-                           const flow::GenerateOptions& options) {
+                           const flow::GenerateOptions& options,
+                           std::map<std::string, std::string>& digests) {
     diag::DiagnosticEngine engine;
     flow::FlowTrace trace;
     flow::GenerateResult result = flow::generate(model, options, engine, &trace);
     std::string out;
     for (const flow::StrategyResult& sr : result.results) {
         out += sr.strategy + " " + sr.subsystem + ":";
-        for (const flow::GeneratedFile& f : sr.files) out += " " + f.name;
+        for (const flow::GeneratedFile& f : sr.files) {
+            out += " " + f.name;
+            char hex[17];
+            std::snprintf(hex, sizeof hex, "%016llx",
+                          static_cast<unsigned long long>(
+                              core::fnv1a(f.contents)));
+            digests[f.name] = hex;
+        }
         out += "\n";
     }
     for (const flow::PassTraceEntry& e : trace.entries()) {
@@ -467,6 +480,15 @@ fsm-c:control:Elevator fsm.emit-c [fsm.machine] -> [fsm.c] {bytes}
         const flow::GenerateOptions* options;
         std::string expected;
     };
+    // A synthetic model large enough that channel inference (551 channel
+    // blocks) and the §4.2.2 cycle search run at more than toy size. It is
+    // acyclic, so crane and mixed remain the cases that splice delays.
+    campaign::CorpusOptions synth;
+    synth.models = 1;
+    synth.seed = 7;
+    synth.min_threads = 60;
+    synth.max_threads = 60;
+
     const Case cases[] = {
         {"didactic/defaults", cases::didactic_model(), &defaults,
          "simulink-caam threads: didactic.mdl\n" + didactic_c_dot +
@@ -516,9 +538,85 @@ fsm-c:control:Elevator fsm.emit-c [fsm.machine] -> [fsm.c] {bytes}
                      "cpp-threads threads: mixed_threads.cpp\n" +
              control_partition + fsm_passes + caam_prep + estimate_skipped +
              mdl_emit + threads_pass},
+        {"synth-60/defaults", campaign::synth_model(synth, 0), &defaults,
+         "simulink-caam threads: corpus_0.mdl\n"
+         "caam-c threads: corpus_0_cpu_CPU0.c corpus_0_cpu_CPU1.c "
+         "corpus_0_cpu_CPU10.c corpus_0_cpu_CPU2.c corpus_0_cpu_CPU3.c "
+         "corpus_0_cpu_CPU4.c corpus_0_cpu_CPU5.c corpus_0_cpu_CPU6.c "
+         "corpus_0_cpu_CPU7.c corpus_0_cpu_CPU8.c corpus_0_cpu_CPU9.c "
+         "corpus_0_main.c corpus_0_sfunctions.c corpus_0_sfunctions.h "
+         "corpus_0_uhcg_rt.h\n"
+         "caam-dot threads: corpus_0_caam.dot\n"
+         "cpp-threads threads: corpus_0_threads.cpp\n" +
+             dataflow_partition + caam_prep + estimate_priced + mdl_emit +
+             c_dot_emit + threads_pass},
     };
-    for (const Case& c : cases)
-        EXPECT_EQ(dispatch_shape(c.model, *c.options), c.expected) << c.label;
+    // Output bytes of every pinned file. A file an option set does not
+    // touch has one digest across option sets, so one table serves all.
+    const std::map<std::string, std::string> pinned_digests = {
+        {"Elevator_fsm.c", "3c743a515b96f6e5"},
+        {"Elevator_fsm.h", "452bd5e170d3ca3a"},
+        {"corpus_0.mdl", "1430fd0ecb3626a3"},
+        {"corpus_0_caam.dot", "3ced85f5429b6357"},
+        {"corpus_0_cpu_CPU0.c", "1c4e98debcdd8210"},
+        {"corpus_0_cpu_CPU1.c", "58c22fd63d7b6bfb"},
+        {"corpus_0_cpu_CPU10.c", "da5988878fcb8405"},
+        {"corpus_0_cpu_CPU2.c", "075e7699cabf2921"},
+        {"corpus_0_cpu_CPU3.c", "654a75fd07543d18"},
+        {"corpus_0_cpu_CPU4.c", "473d013f8ab76f0c"},
+        {"corpus_0_cpu_CPU5.c", "cfd9fb62462cd8aa"},
+        {"corpus_0_cpu_CPU6.c", "fa93123a0e06c2c5"},
+        {"corpus_0_cpu_CPU7.c", "1acfc949609df4d3"},
+        {"corpus_0_cpu_CPU8.c", "7863f4103cf255d6"},
+        {"corpus_0_cpu_CPU9.c", "bb80c3a98a6fb272"},
+        {"corpus_0_main.c", "0bb108223c024e25"},
+        {"corpus_0_sfunctions.c", "c45c52358ac7b095"},
+        {"corpus_0_sfunctions.h", "d644173295dea068"},
+        {"corpus_0_threads.cpp", "3e7dd5018d2e838a"},
+        {"corpus_0_uhcg_rt.h", "51609aded7d6325a"},
+        {"crane.mdl", "70b429672d31cc3b"},
+        {"crane_caam.dot", "cf81d8d42e840f52"},
+        {"crane_cpu_CPU1.c", "1c2d391e64285628"},
+        {"crane_kpn.txt", "4de702eeca1301a0"},
+        {"crane_main.c", "d8b0c36cd021c4d2"},
+        {"crane_sfunctions.c", "bf48ebf156dea7c0"},
+        {"crane_sfunctions.h", "0fba3e2bf6bd0e65"},
+        {"crane_threads.cpp", "f7cd3e12c6d68e0b"},
+        {"crane_uhcg_rt.h", "51609aded7d6325a"},
+        {"didactic.mdl", "2e2ed5f111227e2f"},
+        {"didactic_caam.dot", "490c46f0e0ad5ecc"},
+        {"didactic_cpu_CPU1.c", "75b91c022db09d2f"},
+        {"didactic_cpu_CPU2.c", "835ce272f373f875"},
+        {"didactic_kpn.txt", "612b6c94e7f8158d"},
+        {"didactic_main.c", "9fe5ece8adda677a"},
+        {"didactic_sfunctions.c", "d11701510d062a84"},
+        {"didactic_sfunctions.h", "3400034101280ff2"},
+        {"didactic_threads.cpp", "a2319da38bab7ad2"},
+        {"didactic_uhcg_rt.h", "51609aded7d6325a"},
+        {"mixed.mdl", "8bf9045cfc8a5ea3"},
+        {"mixed_caam.dot", "f300a2d3874afa38"},
+        {"mixed_cpu_CPU1.c", "1c2d391e64285628"},
+        {"mixed_kpn.txt", "441f3543ca8ecefa"},
+        {"mixed_main.c", "d8b0c36cd021c4d2"},
+        {"mixed_sfunctions.c", "bf48ebf156dea7c0"},
+        {"mixed_sfunctions.h", "0fba3e2bf6bd0e65"},
+        {"mixed_threads.cpp", "fdebe9d5e374b41d"},
+        {"mixed_uhcg_rt.h", "51609aded7d6325a"},
+    };
+    for (const Case& c : cases) {
+        std::map<std::string, std::string> digests;
+        EXPECT_EQ(dispatch_shape(c.model, *c.options, digests), c.expected)
+            << c.label;
+        for (const auto& [name, digest] : digests) {
+            auto pinned = pinned_digests.find(name);
+            if (pinned == pinned_digests.end()) {
+                ADD_FAILURE() << c.label << ": no pinned digest for {\"" << name
+                              << "\", \"" << digest << "\"}";
+                continue;
+            }
+            EXPECT_EQ(digest, pinned->second) << c.label << " " << name;
+        }
+    }
 }
 
 TEST(Generate, TraceJsonMatchesSchema) {
@@ -601,6 +699,32 @@ TEST(Generate, SharedCaamComputedExactlyOncePerSubsystem) {
         EXPECT_EQ(after - before, 1u)
             << "shared CAAM recomputed at gen_jobs=" << jobs;
     }
+}
+
+// `simulink.lookup_scans` counts the blocks and lines the System lookups
+// visit: an exact work count, the same for repeated runs and for any
+// gen_jobs.
+TEST(Generate, LookupScansAreExactAcrossRunsAndGenJobs) {
+    campaign::CorpusOptions synth;
+    synth.models = 1;
+    synth.seed = 7;
+    synth.min_threads = 20;
+    synth.max_threads = 20;
+    uml::Model model = campaign::synth_model(synth, 0);
+    auto scans = [&](std::size_t jobs) {
+        flow::GenerateOptions options;
+        options.gen_jobs = jobs;
+        diag::DiagnosticEngine engine;
+        obs::Counter& counter = obs::counter("simulink.lookup_scans");
+        const std::uint64_t before = counter.value();
+        flow::GenerateResult result = flow::generate(model, options, engine);
+        EXPECT_EQ(result.status, flow::GenerateStatus::Ok) << "gen_jobs=" << jobs;
+        return counter.value() - before;
+    };
+    const std::uint64_t first = scans(1);
+    EXPECT_GT(first, 0u);
+    EXPECT_EQ(scans(1), first);
+    EXPECT_EQ(scans(4), first);
 }
 
 // A parallel run's results, manifest and diagnostics are byte-identical

@@ -6,6 +6,7 @@
 
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <set>
 #include <string>
 #include <thread>
@@ -318,6 +319,76 @@ TEST(ServeEngine, UnknownBackendListsExactlyTheRegisteredNames) {
                   "unknown simulation backend 'sdf' (known: dynamic-fifo, "
                   "analytic)");
     }
+}
+
+TEST(ServeEngine, CountParamsOutsideTheirTypeAreBadRequests) {
+    // Negative, fractional and out-of-range counts used to reach a bare
+    // static_cast (undefined behaviour); each is now a bad request naming
+    // the param.
+    serve::Engine engine{serve::EngineOptions{}};
+    std::shared_ptr<const serve::ResidentModel> resident;
+    {
+        diag::DiagnosticEngine diagnostics;
+        resident = engine.cache().admit(didactic_xmi(), diagnostics);
+        ASSERT_TRUE(resident);
+    }
+    struct Probe {
+        const char* method;
+        const char* param;
+        const char* value;
+    };
+    const Probe probes[] = {
+        {"explore", "jobs", "-3"},
+        {"explore", "max_processors", "1e300"},
+        {"explore", "random_samples", "2.5"},
+        {"explore", "chunk", "-0.5"},
+        {"generate", "iterations", "-1"},
+        {"generate", "gen_jobs", "1.5"},
+        {"generate", "max_processors", "1e20"},
+        {"generate", "pass_budget_ms", "-10"},
+        {"simulate", "max_processors", "3.25"},
+    };
+    for (const Probe& p : probes) {
+        std::string response = engine.handle(
+            std::string("{\"method\":\"") + p.method +
+            "\",\"id\":1,\"model_hash\":\"" + resident->hash +
+            "\",\"params\":{\"" + p.param + "\":" + p.value + "}}");
+        EXPECT_EQ(error_code(response), "serve.bad-request")
+            << p.method << " " << p.param << "=" << p.value << ": " << response;
+        obs::json::Value doc = parsed(response);
+        const obs::json::Value* message = doc.find("error")->find("message");
+        ASSERT_TRUE(message) << response;
+        EXPECT_NE(message->string.find(std::string("'") + p.param + "'"),
+                  std::string::npos)
+            << message->string;
+    }
+    // In-range integral counts still serve.
+    EXPECT_TRUE(response_ok(engine.handle(
+        "{\"method\":\"explore\",\"id\":2,\"model_hash\":\"" + resident->hash +
+        "\",\"params\":{\"jobs\":2,\"max_processors\":2,"
+        "\"random_samples\":0}}")));
+}
+
+TEST(ServeJson, ToUnsignedAcceptsOnlyIntegralCountsThatFit) {
+    auto number = [](double n) {
+        obs::json::Value v;
+        v.kind = obs::json::Value::Kind::Number;
+        v.number = n;
+        return v;
+    };
+    EXPECT_EQ(obs::json::to_unsigned<std::size_t>(number(0)), 0u);
+    EXPECT_EQ(obs::json::to_unsigned<std::size_t>(number(42)), 42u);
+    EXPECT_EQ(obs::json::to_unsigned<std::uint8_t>(number(255)), 255u);
+    EXPECT_FALSE(obs::json::to_unsigned<std::uint8_t>(number(256)));
+    EXPECT_FALSE(obs::json::to_unsigned<std::size_t>(number(-1)));
+    EXPECT_FALSE(obs::json::to_unsigned<std::size_t>(number(2.5)));
+    EXPECT_FALSE(obs::json::to_unsigned<std::size_t>(number(1e30)));
+    EXPECT_FALSE(obs::json::to_unsigned<std::uint64_t>(number(0x1p64)));
+    EXPECT_FALSE(obs::json::to_unsigned<std::size_t>(
+        number(std::numeric_limits<double>::infinity())));
+    EXPECT_FALSE(obs::json::to_unsigned<std::size_t>(
+        number(std::numeric_limits<double>::quiet_NaN())));
+    EXPECT_FALSE(obs::json::to_unsigned<std::size_t>(obs::json::Value{}));
 }
 
 TEST(ServeCache, EvictsLeastRecentlyUsedUnderByteBudget) {

@@ -96,6 +96,54 @@ TEST(SimulinkModel, RemoveBlockCleansLines) {
     EXPECT_TRUE(m.root().lines().empty());  // lost its last destination
 }
 
+TEST(SimulinkModel, DisconnectDetachesOneDestination) {
+    Model m("m");
+    Block& c = m.root().add_block("c", BlockType::Constant);
+    Block& g1 = m.root().add_block("g1", BlockType::Gain);
+    Block& g2 = m.root().add_block("g2", BlockType::Gain);
+    m.root().add_line({&c, 1}, {&g1, 1}, "sig");
+    m.root().add_line({&c, 1}, {&g2, 1});
+    auto [src, signal] = m.root().disconnect({&g1, 1});
+    EXPECT_EQ(src, (PortRef{&c, 1}));
+    EXPECT_EQ(signal, "sig");
+    EXPECT_EQ(m.root().line_into({&g1, 1}), nullptr);
+    ASSERT_EQ(m.root().lines().size(), 1u);  // the g2 branch stays
+    m.root().disconnect({&g2, 1});
+    EXPECT_TRUE(m.root().lines().empty());  // lost its last destination
+    EXPECT_THROW(m.root().disconnect({&g2, 1}), std::invalid_argument);
+}
+
+TEST(SimulinkModel, UniqueNameProbesNumberedSuffixes) {
+    Model m("m");
+    EXPECT_EQ(m.root().unique_name("Delay"), "Delay");
+    m.root().add_block("Delay", BlockType::UnitDelay);
+    EXPECT_EQ(m.root().unique_name("Delay"), "Delay_1");
+    m.root().add_block("Delay_1", BlockType::UnitDelay);
+    m.root().add_block("Delay_3", BlockType::UnitDelay);
+    EXPECT_EQ(m.root().unique_name("Delay"), "Delay_2");
+}
+
+TEST(SimulinkModel, PortNumberDefaultsToOneAndNamesTheBlockPath) {
+    Model m("m");
+    Block& sub = m.root().add_subsystem("S");
+    Block& in = sub.system()->add_block("in", BlockType::Inport);
+    EXPECT_EQ(port_number(in), 1);
+    in.set_parameter("Port", "3");
+    EXPECT_EQ(port_number(in), 3);
+    EXPECT_EQ(full_path(in), "S/in");
+    for (const char* bad : {"x", "2x", ""}) {
+        in.set_parameter("Port", bad);
+        try {
+            port_number(in);
+            ADD_FAILURE() << "no error for Port '" << bad << "'";
+        } catch (const std::runtime_error& e) {
+            EXPECT_EQ(std::string(e.what()), "block 'S/in' has a non-numeric "
+                                             "Port (got '" + std::string(bad) +
+                                                 "')");
+        }
+    }
+}
+
 TEST(SimulinkModel, DeepCounts) {
     Model m("m");
     Block& sub = m.root().add_subsystem("s");
