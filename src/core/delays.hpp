@@ -35,4 +35,11 @@ DelayReport insert_temporal_barriers(simulink::Model& model);
 /// True when the model still contains a combinational cycle somewhere.
 bool has_combinational_cycle(const simulink::Model& model);
 
+/// In→out combinational reachability through a SubSystem block: row i
+/// (1-based input port; row 0 is empty) lists, ascending, the output ports
+/// that input i reaches within one step. This is the dependency a
+/// subsystem contributes to cycle detection in its parent.
+using SubsystemReach = std::vector<std::vector<int>>;
+SubsystemReach combinational_reach(const simulink::Block& subsystem);
+
 }  // namespace uhcg::core

@@ -2,7 +2,9 @@
 
 #include <map>
 #include <set>
+#include <string_view>
 #include <tuple>
+#include <unordered_map>
 
 #include "core/mapping.hpp"
 #include "simulink/caam.hpp"
@@ -14,20 +16,6 @@ using simulink::BlockType;
 using simulink::CaamRole;
 using simulink::PortRef;
 using simulink::System;
-
-namespace {
-
-/// Thread-SS block for a thread name, anywhere under the root.
-Block* find_thread_ss(simulink::Model& model, const std::string& thread) {
-    for (Block* cpu : simulink::cpu_subsystems(model)) {
-        if (Block* t = cpu->system()->find_block(thread);
-            t && t->role() == CaamRole::ThreadSubsystem)
-            return t;
-    }
-    return nullptr;
-}
-
-}  // namespace
 
 int add_subsystem_input(Block& sub, const std::string& name, PortRef inner_dst) {
     System& sys = *sub.system();
@@ -71,6 +59,16 @@ ChannelReport infer_channels(simulink::Model& model, const CommModel& comm) {
         return index;
     };
 
+    // Thread-SS block per thread name; the first CPU-SS holding one wins.
+    std::unordered_map<std::string_view, Block*> thread_ss;
+    for (Block* cpu : simulink::cpu_subsystems(model))
+        for (Block* tss : simulink::thread_subsystems(*cpu))
+            thread_ss.emplace(tss->name(), tss);
+    auto find_thread_ss = [&](const std::string& thread) -> Block* {
+        auto it = thread_ss.find(thread);
+        return it == thread_ss.end() ? nullptr : it->second;
+    };
+
     // --- §4.2.1 channel inference -------------------------------------------
     std::set<std::tuple<std::string, std::string, std::string>> seen;
     for (const Channel& c : comm.channels()) {
@@ -81,8 +79,8 @@ ChannelReport infer_channels(simulink::Model& model, const CommModel& comm) {
                  .second)
             continue;
 
-        Block* p_tss = find_thread_ss(model, c.producer->name());
-        Block* c_tss = find_thread_ss(model, c.consumer->name());
+        Block* p_tss = find_thread_ss(c.producer->name());
+        Block* c_tss = find_thread_ss(c.consumer->name());
         if (!p_tss || !c_tss) {
             report.warnings.push_back("channel " + c.producer->name() + "->" +
                                       c.consumer->name() + " [" + c.variable +

@@ -195,9 +195,18 @@ std::string Engine::handle(std::string_view request_json,
     const std::string& method = method_value->string;
 
     std::uint64_t deadline_ms = options_.default_deadline_ms;
-    if (const obs::json::Value* d = doc.find("deadline_ms"))
-        if (d->is_number() && d->number >= 0)
-            deadline_ms = static_cast<std::uint64_t>(d->number);
+    if (const obs::json::Value* d = doc.find("deadline_ms"); d && d->is_number()) {
+        std::optional<std::uint64_t> ms = obs::json::to_unsigned<std::uint64_t>(*d);
+        if (!ms) {
+            requests_failed_.fetch_add(1, std::memory_order_relaxed);
+            obs::counter("serve.bad_requests").add(1);
+            return error_response(
+                id, "serve.bad-request",
+                "field 'deadline_ms' must be a non-negative integer in range (got " +
+                    number_text(d->number) + ")");
+        }
+        deadline_ms = *ms;
+    }
     if (deadline_ms && ms_since(received) >= static_cast<double>(deadline_ms)) {
         // Expired while queued: reject before doing any work — that is
         // the whole point of admission-time deadlines.

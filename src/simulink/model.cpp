@@ -1,7 +1,6 @@
 #include "simulink/model.hpp"
 
 #include <algorithm>
-#include <cstdint>
 #include <stdexcept>
 #include <utility>
 
@@ -63,6 +62,13 @@ std::optional<CaamRole> caam_role_from_string(std::string_view name) {
 
 // --- Block -------------------------------------------------------------------
 
+/// Port names by port, with a name → lowest-port index keyed by views into
+/// `by_port`.
+struct PortNames {
+    std::map<int, std::string> by_port;
+    std::map<std::string_view, int> by_name;
+};
+
 Block::Block(std::string name, BlockType type, System* parent)
     : name_(std::move(name)), type_(type), parent_(parent) {
     // Sensible default port shapes per type; the mapping resizes as needed.
@@ -107,65 +113,95 @@ void Block::set_ports(int inputs, int outputs) {
     outputs_ = outputs;
 }
 
+namespace {
+
+void name_port(std::unique_ptr<PortNames>& names, int port, std::string name) {
+    if (!names) names = std::make_unique<PortNames>();
+    auto [it, fresh] = names->by_port.try_emplace(port, std::move(name));
+    if (fresh) {
+        auto [at, added] = names->by_name.emplace(it->second, port);
+        if (!added && port < at->second) at->second = port;
+        return;
+    }
+    // A rename can drop a view into the old name: rebuild (rare).
+    it->second = std::move(name);
+    names->by_name.clear();
+    for (const auto& [p, n] : names->by_port) names->by_name.emplace(n, p);
+}
+
+std::string name_of(const std::unique_ptr<PortNames>& names, int port) {
+    if (!names) return {};
+    auto it = names->by_port.find(port);
+    return it == names->by_port.end() ? std::string() : it->second;
+}
+
+int port_named(const std::unique_ptr<PortNames>& names, std::string_view name) {
+    if (!names) return 0;
+    auto it = names->by_name.find(name);
+    return it == names->by_name.end() ? 0 : it->second;
+}
+
+}  // namespace
+
 void Block::set_input_name(int port, std::string name) {
     if (port < 1 || port > inputs_)
         throw std::out_of_range("input port " + std::to_string(port) +
                                 " out of range on block " + name_);
-    input_names_[port] = std::move(name);
+    name_port(input_names_, port, std::move(name));
 }
 
 void Block::set_output_name(int port, std::string name) {
     if (port < 1 || port > outputs_)
         throw std::out_of_range("output port " + std::to_string(port) +
                                 " out of range on block " + name_);
-    output_names_[port] = std::move(name);
+    name_port(output_names_, port, std::move(name));
 }
 
 std::string Block::input_name(int port) const {
-    auto it = input_names_.find(port);
-    return it == input_names_.end() ? std::string() : it->second;
+    return name_of(input_names_, port);
 }
 
 std::string Block::output_name(int port) const {
-    auto it = output_names_.find(port);
-    return it == output_names_.end() ? std::string() : it->second;
+    return name_of(output_names_, port);
 }
 
 int Block::input_named(std::string_view name) const {
-    for (const auto& [port, n] : input_names_)
-        if (n == name) return port;
-    return 0;
+    return port_named(input_names_, name);
 }
 
 int Block::output_named(std::string_view name) const {
-    for (const auto& [port, n] : output_names_)
-        if (n == name) return port;
-    return 0;
+    return port_named(output_names_, name);
 }
 
 // --- System ------------------------------------------------------------------
 
 namespace {
 
-/// Adds the elements a linear lookup visited (up to and including the hit)
-/// to `simulink.lookup_scans`, one relaxed add per call; returns the hit or
-/// nullptr.
-template <typename Items, typename It>
-auto* scanned(const Items& items, It hit) {
-    static obs::Counter& scans = obs::counter("simulink.lookup_scans");
-    scans.add(static_cast<std::uint64_t>(hit - items.begin()) +
-              (hit != items.end() ? 1 : 0));
-    return hit == items.end() ? nullptr : hit->get();
+/// One index probe, counted in `simulink.lookup_scans` (one relaxed add per
+/// call); returns the hit or nullptr.
+template <typename Index, typename Key>
+typename Index::mapped_type probed(const Index& index, const Key& key) {
+    static obs::Counter& probes = obs::counter("simulink.lookup_scans");
+    probes.add(1);
+    auto it = index.find(key);
+    return it == index.end() ? nullptr : it->second;
 }
 
 }  // namespace
+
+std::size_t System::PortRefHash::operator()(const PortRef& ref) const noexcept {
+    return std::hash<const Block*>{}(ref.block) * 31 +
+           static_cast<std::size_t>(ref.port);
+}
 
 Block& System::add_block(std::string name, BlockType type) {
     if (find_block(name))
         throw std::invalid_argument("duplicate block name '" + name +
                                     "' in system " + name_);
-    blocks_.push_back(std::make_unique<Block>(std::move(name), type, this));
-    return *blocks_.back();
+    Block& block =
+        *blocks_.emplace_back(std::make_unique<Block>(std::move(name), type, this));
+    by_name_.emplace(block.name(), &block);
+    return block;
 }
 
 Block& System::add_subsystem(std::string name, CaamRole role) {
@@ -179,13 +215,12 @@ Block* System::find_block(std::string_view name) {
 }
 
 const Block* System::find_block(std::string_view name) const {
-    auto named = [&](const auto& b) { return b->name() == name; };
-    return scanned(blocks_, std::find_if(blocks_.begin(), blocks_.end(), named));
+    return probed(by_name_, name);
 }
 
-std::string System::unique_name(const std::string& hint) const {
+std::string System::unique_name(const std::string& hint) {
     if (!find_block(hint)) return hint;
-    int i = 1;
+    int& i = next_suffix_.try_emplace(hint, 1).first->second;
     while (find_block(hint + "_" + std::to_string(i))) ++i;
     return hint + "_" + std::to_string(i);
 }
@@ -217,27 +252,26 @@ std::vector<Block*> System::blocks_with_role(CaamRole role) {
 }
 
 void System::remove_block(Block& block) {
-    // Drop every line endpoint referring to the block first.
-    for (auto it = lines_.begin(); it != lines_.end();) {
-        Line& line = **it;
-        if (line.source().block == &block) {
-            it = lines_.erase(it);
-            continue;
-        }
-        auto dsts = line.destinations();
-        for (const PortRef& d : dsts)
-            if (d.block == &block) line.remove_destination(d);
-        if (line.destinations().empty()) {
-            it = lines_.erase(it);
-            continue;
-        }
-        ++it;
-    }
     auto it = std::find_if(blocks_.begin(), blocks_.end(),
                            [&](const auto& b) { return b.get() == &block; });
     if (it == blocks_.end())
         throw std::invalid_argument("block '" + block.name() +
                                     "' is not in system " + name_);
+    // Drop every line endpoint referring to the block first.
+    std::erase_if(lines_, [&](const std::unique_ptr<Line>& line) {
+        if (line->source().block != &block) {
+            std::erase_if(line->dsts_, [&](const PortRef& d) {
+                if (d.block != &block) return false;
+                into_.erase(d);
+                return true;
+            });
+            if (!line->dsts_.empty()) return false;
+        }
+        unindex(*line);
+        return true;
+    });
+    by_name_.erase(block.name());
+    next_suffix_.clear();  // the name may free a lower suffix
     blocks_.erase(it);
 }
 
@@ -262,14 +296,17 @@ Line& System::add_line(PortRef src, PortRef dst, std::string name) {
                                     " of block " + dst.block->name() +
                                     " is already driven");
     // Simulink semantics: one line per source port; further sinks branch.
-    if (Line* existing = line_from(src)) {
-        existing->dsts_.push_back(dst);
-        if (existing->name().empty()) existing->name_ = std::move(name);
-        return *existing;
+    Line* line = line_from(src);
+    if (line) {
+        if (line->name().empty()) line->name_ = std::move(name);
+    } else {
+        line = lines_.emplace_back(std::make_unique<Line>(src, std::move(name)))
+                   .get();
+        from_.emplace(src, line);
     }
-    lines_.push_back(std::make_unique<Line>(src, std::move(name)));
-    lines_.back()->dsts_.push_back(dst);
-    return *lines_.back();
+    line->dsts_.push_back(dst);
+    into_.emplace(dst, line);
+    return *line;
 }
 
 Line* System::line_from(const PortRef& src) {
@@ -277,8 +314,7 @@ Line* System::line_from(const PortRef& src) {
 }
 
 const Line* System::line_from(const PortRef& src) const {
-    auto from = [&](const auto& l) { return l->source() == src; };
-    return scanned(lines_, std::find_if(lines_.begin(), lines_.end(), from));
+    return probed(from_, src);
 }
 
 Line* System::line_into(const PortRef& dst) {
@@ -286,11 +322,7 @@ Line* System::line_into(const PortRef& dst) {
 }
 
 const Line* System::line_into(const PortRef& dst) const {
-    auto into = [&](const auto& l) {
-        const auto& d = l->destinations();
-        return std::find(d.begin(), d.end(), dst) != d.end();
-    };
-    return scanned(lines_, std::find_if(lines_.begin(), lines_.end(), into));
+    return probed(into_, dst);
 }
 
 std::vector<Line*> System::lines() {
@@ -305,11 +337,17 @@ std::vector<const Line*> System::lines() const {
     return out;
 }
 
+void System::unindex(const Line& line) {
+    from_.erase(line.source());
+    for (const PortRef& d : line.destinations()) into_.erase(d);
+}
+
 void System::remove_line(Line& line) {
     auto it = std::find_if(lines_.begin(), lines_.end(),
                            [&](const auto& l) { return l.get() == &line; });
     if (it == lines_.end())
         throw std::invalid_argument("line is not in system " + name_);
+    unindex(line);
     lines_.erase(it);
 }
 
@@ -321,6 +359,7 @@ std::pair<PortRef, std::string> System::disconnect(const PortRef& dst) {
                                     " is not driven in system " + name_);
     std::pair<PortRef, std::string> removed{line->source(), line->name()};
     line->remove_destination(dst);
+    into_.erase(dst);
     if (line->destinations().empty()) remove_line(*line);
     return removed;
 }

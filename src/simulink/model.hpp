@@ -14,6 +14,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -59,6 +60,8 @@ inline constexpr const char* kProtocolSwFifo = "SWFIFO";
 inline constexpr const char* kProtocolGFifo = "GFIFO";
 
 class Block;
+/// One direction's port names of a block (defined in model.cpp).
+struct PortNames;
 
 /// A port reference: block + 1-based port number (Simulink convention).
 struct PortRef {
@@ -126,8 +129,9 @@ private:
     int inputs_ = 0;
     int outputs_ = 0;
     std::map<std::string, std::string, std::less<>> params_;
-    std::map<int, std::string> input_names_;
-    std::map<int, std::string> output_names_;
+    /// Allocated on a direction's first port name; most blocks have none.
+    std::unique_ptr<PortNames> input_names_;
+    std::unique_ptr<PortNames> output_names_;
     std::unique_ptr<System> system_;
 };
 
@@ -154,7 +158,8 @@ private:
 };
 
 /// A container of blocks and lines: the model root or a subsystem body.
-/// Every line edit and every fresh block name goes through its methods.
+/// Every line edit and every fresh block name goes through its methods,
+/// which keep the name and port indexes behind the O(1) lookups in step.
 class System {
 public:
     friend class Model;
@@ -174,8 +179,8 @@ public:
     Block* find_block(std::string_view name);
     const Block* find_block(std::string_view name) const;
     /// `hint` if no block has that name, else the first free `hint_<i>`
-    /// (i = 1, 2, ...).
-    std::string unique_name(const std::string& hint) const;
+    /// (i = 1, 2, ...). Remembers where each hint's probing stopped.
+    std::string unique_name(const std::string& hint);
     std::vector<Block*> blocks();
     std::vector<const Block*> blocks() const;
     std::vector<Block*> blocks_of(BlockType type);
@@ -204,11 +209,25 @@ public:
     std::size_t total_lines() const;
 
 private:
+    struct PortRefHash {
+        std::size_t operator()(const PortRef& ref) const noexcept;
+    };
+    using PortIndex = std::unordered_map<PortRef, Line*, PortRefHash>;
+
+    void unindex(const Line& line);
+
     std::string name_;
     Block* owner_;
     Model* model_;
     std::vector<std::unique_ptr<Block>> blocks_;
     std::vector<std::unique_ptr<Line>> lines_;
+    /// Keyed by views into `Block::name_`, which never changes.
+    std::unordered_map<std::string_view, Block*> by_name_;
+    PortIndex from_;  ///< source port → its line
+    PortIndex into_;  ///< destination port → the line feeding it
+    /// Per `unique_name` hint: the suffix to probe first. Every lower one
+    /// is taken until a block is removed, which clears the memo.
+    std::unordered_map<std::string, int> next_suffix_;
 };
 
 /// "Sub/.../Block" path from the model root (the root system's name is

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <map>
 
@@ -16,6 +17,7 @@
 #include "flow/partition.hpp"
 #include "flow/pass.hpp"
 #include "obs/obs.hpp"
+#include "simulink/caam.hpp"
 #include "simulink/mdl.hpp"
 #include "uml/builder.hpp"
 
@@ -725,6 +727,55 @@ TEST(Generate, LookupScansAreExactAcrossRunsAndGenJobs) {
     EXPECT_GT(first, 0u);
     EXPECT_EQ(scans(1), first);
     EXPECT_EQ(scans(4), first);
+}
+
+// The CAAM passes are linear in the channel count. Between a 60- and a
+// 120-thread synth model (551 and 2 196 channel blocks) the exact work
+// counters `simulink.lookup_scans` (index probes) and `caam.delays.atoms`
+// grow with a log-log slope of at most 1.25, on any host. Linear lookup
+// scans showed a slope of about 2.6 here.
+TEST(Generate, CaamWorkCountersGrowLinearlyWithChannels) {
+    struct Work {
+        double channels, probes, atoms;
+    };
+    auto measure = [](std::size_t threads) {
+        campaign::CorpusOptions synth;
+        synth.models = 1;
+        synth.seed = 7;
+        synth.min_threads = threads;
+        synth.max_threads = threads;
+        uml::Model model = campaign::synth_model(synth, 0);
+        obs::Counter& probes = obs::counter("simulink.lookup_scans");
+        obs::Counter& atoms = obs::counter("caam.delays.atoms");
+        const std::uint64_t probes_before = probes.value();
+        const std::uint64_t atoms_before = atoms.value();
+        diag::DiagnosticEngine engine;
+        flow::GenerateResult result =
+            flow::generate(model, flow::GenerateOptions{}, engine);
+        EXPECT_EQ(result.status, flow::GenerateStatus::Ok) << threads;
+        Work work{0, static_cast<double>(probes.value() - probes_before),
+                  static_cast<double>(atoms.value() - atoms_before)};
+        for (const flow::StrategyResult& r : result.results)
+            for (const flow::GeneratedFile& f : r.files)
+                if (f.name.ends_with(".mdl")) {
+                    simulink::CaamStats stats =
+                        simulink::caam_stats(simulink::parse_mdl(f.contents));
+                    work.channels = static_cast<double>(stats.inter_channels +
+                                                        stats.intra_channels);
+                }
+        return work;
+    };
+    const Work small = measure(60);
+    const Work large = measure(120);
+    EXPECT_EQ(small.channels, 551);
+    EXPECT_EQ(large.channels, 2196);
+    ASSERT_GT(small.probes, 0);
+    ASSERT_GT(small.atoms, 0);
+    const double growth = std::log(large.channels / small.channels);
+    EXPECT_LE(std::log(large.probes / small.probes) / growth, 1.25)
+        << "simulink.lookup_scans " << small.probes << " -> " << large.probes;
+    EXPECT_LE(std::log(large.atoms / small.atoms) / growth, 1.25)
+        << "caam.delays.atoms " << small.atoms << " -> " << large.atoms;
 }
 
 // A parallel run's results, manifest and diagnostics are byte-identical

@@ -444,6 +444,25 @@ TEST(ServeEngine, DefaultDeadlineAppliesWhenRequestCarriesNone) {
     EXPECT_TRUE(response_ok(fresh)) << fresh;
 }
 
+TEST(ServeEngine, DeadlineOutsideItsTypeIsABadRequest) {
+    // A negative, fractional or out-of-range deadline is a bad request
+    // naming the field; a non-number still means "use the default".
+    serve::Engine engine{serve::EngineOptions{}};
+    for (const char* value : {"-1", "2.5", "1e300"}) {
+        std::string response = engine.handle(
+            std::string("{\"method\":\"ping\",\"id\":1,\"deadline_ms\":") +
+            value + "}");
+        EXPECT_EQ(error_code(response), "serve.bad-request") << value;
+        EXPECT_NE(response.find("deadline_ms"), std::string::npos) << response;
+    }
+    std::string text = engine.handle(
+        "{\"method\":\"ping\",\"id\":2,\"deadline_ms\":\"soon\"}");
+    EXPECT_TRUE(response_ok(text)) << text;
+    std::string whole =
+        engine.handle("{\"method\":\"ping\",\"id\":3,\"deadline_ms\":60000}");
+    EXPECT_TRUE(response_ok(whole)) << whole;
+}
+
 // --- engine: rejection payloads (admission control helpers) -----------------
 
 TEST(ServeEngine, OverloadRejectionEchoesIdAndNamesTheBound) {

@@ -2,6 +2,13 @@
 // and structural validation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "core/delays.hpp"
 #include "simulink/caam.hpp"
 #include "simulink/dot.hpp"
 #include "simulink/generic.hpp"
@@ -163,6 +170,301 @@ TEST(SimulinkModel, MoveKeepsTreeUsable) {
     Block& c = s->system()->add_block("c", BlockType::Constant);
     s->system()->add_line({&c, 1}, {s->system()->find_block("inner"), 1});
     EXPECT_EQ(moved.root().total_lines(), 1u);
+}
+
+// --- index vs brute force ----------------------------------------------------
+
+const Block* scan_block(const System& sys, std::string_view name) {
+    for (const Block* b : sys.blocks())
+        if (b->name() == name) return b;
+    return nullptr;
+}
+
+const Line* scan_from(const System& sys, const PortRef& src) {
+    for (const Line* l : sys.lines())
+        if (l->source() == src) return l;
+    return nullptr;
+}
+
+const Line* scan_into(const System& sys, const PortRef& dst) {
+    for (const Line* l : sys.lines())
+        for (const PortRef& d : l->destinations())
+            if (d == dst) return l;
+    return nullptr;
+}
+
+TEST(SimulinkModel, IndexedLookupsMatchALinearScanAfterEveryEdit) {
+    Model m("m");
+    System& sys = m.root();
+    std::mt19937 rng(20081);
+    auto pick = [&](std::size_t n) {
+        return static_cast<std::size_t>(rng() % static_cast<unsigned>(n));
+    };
+    auto any_port = [&](int count) {
+        return 1 + static_cast<int>(pick(static_cast<std::size_t>(count)));
+    };
+    auto name_of = [](std::size_t i) { return "b" + std::to_string(i); };
+    constexpr std::size_t kNames = 24;
+    std::size_t adds = 0, branches = 0, disconnects = 0, removals = 0;
+    for (int step = 0; step < 3000; ++step) {
+        std::vector<Block*> blocks = sys.blocks();
+        switch (pick(blocks.size() < 4 ? 1 : 8)) {
+            case 0: {  // add_block
+                const std::string name = name_of(pick(kNames));
+                if (scan_block(sys, name)) {
+                    EXPECT_THROW(sys.add_block(name, BlockType::Gain),
+                                 std::invalid_argument);
+                } else {
+                    Block& b = sys.add_block(name, BlockType::Sum);
+                    const int ins = 1 + static_cast<int>(pick(3));
+                    b.set_ports(ins, 1 + static_cast<int>(pick(3)));
+                    ++adds;
+                }
+                break;
+            }
+            case 1:
+            case 2:
+            case 3: {  // add_line, branching when the source is wired
+                Block* s = blocks[pick(blocks.size())];
+                Block* d = blocks[pick(blocks.size())];
+                const PortRef src{s, any_port(s->output_count())};
+                const PortRef dst{d, any_port(d->input_count())};
+                if (scan_into(sys, dst)) {
+                    EXPECT_THROW(sys.add_line(src, dst), std::invalid_argument);
+                } else {
+                    branches += scan_from(sys, src) ? 1 : 0;
+                    Line& line = sys.add_line(src, dst, "s" + std::to_string(step));
+                    EXPECT_EQ(line.source(), src);
+                }
+                break;
+            }
+            case 4:
+            case 5: {  // disconnect
+                Block* d = blocks[pick(blocks.size())];
+                const PortRef dst{d, any_port(d->input_count())};
+                if (scan_into(sys, dst)) {
+                    sys.disconnect(dst);
+                    ++disconnects;
+                } else {
+                    EXPECT_THROW(sys.disconnect(dst), std::invalid_argument);
+                }
+                break;
+            }
+            case 6: {  // remove_line
+                std::vector<Line*> lines = sys.lines();
+                if (!lines.empty()) sys.remove_line(*lines[pick(lines.size())]);
+                break;
+            }
+            default:  // remove_block
+                sys.remove_block(*blocks[pick(blocks.size())]);
+                ++removals;
+                break;
+        }
+        for (std::size_t i = 0; i < kNames; ++i)
+            ASSERT_EQ(sys.find_block(name_of(i)), scan_block(sys, name_of(i)))
+                << "step " << step;
+        for (Block* b : sys.blocks()) {
+            for (int p = 1; p <= b->output_count(); ++p)
+                ASSERT_EQ(sys.line_from({b, p}), scan_from(sys, {b, p}))
+                    << "step " << step;
+            for (int p = 1; p <= b->input_count(); ++p)
+                ASSERT_EQ(sys.line_into({b, p}), scan_into(sys, {b, p}))
+                    << "step " << step;
+        }
+    }
+    // The walk exercised every kind of edit.
+    EXPECT_GT(adds, 100u);
+    EXPECT_GT(branches, 50u);
+    EXPECT_GT(disconnects, 50u);
+    EXPECT_GT(removals, 100u);
+}
+
+TEST(SimulinkModel, UniqueNameReturnsTheSuffixARemovalFreed) {
+    Model m("m");
+    System& sys = m.root();
+    for (const char* n : {"Delay", "Delay_1", "Delay_2"})
+        sys.add_block(n, BlockType::UnitDelay);
+    EXPECT_EQ(sys.unique_name("Delay"), "Delay_3");
+    EXPECT_EQ(sys.unique_name("Delay"), "Delay_3");  // not taken yet
+    sys.add_block(sys.unique_name("Delay"), BlockType::UnitDelay);
+    sys.remove_block(*sys.find_block("Delay_1"));
+    EXPECT_EQ(sys.unique_name("Delay"), "Delay_1");
+    sys.add_block("Delay_1", BlockType::UnitDelay);
+    EXPECT_EQ(sys.unique_name("Delay"), "Delay_4");
+    sys.remove_block(*sys.find_block("Delay"));
+    EXPECT_EQ(sys.unique_name("Delay"), "Delay");
+}
+
+TEST(SimulinkModel, PortNamesResolveToTheLowestPort) {
+    Model m("m");
+    Block& b = m.root().add_block("f", BlockType::SFunction);
+    b.set_ports(3, 2);
+    b.set_input_name(3, "x");
+    b.set_input_name(1, "x");
+    b.set_input_name(2, "y");
+    EXPECT_EQ(b.input_named("x"), 1);
+    EXPECT_EQ(b.input_named("y"), 2);
+    b.set_input_name(1, "z");  // rename: port 3 still carries "x"
+    EXPECT_EQ(b.input_named("x"), 3);
+    EXPECT_EQ(b.input_named("z"), 1);
+    b.set_output_name(2, "x");
+    EXPECT_EQ(b.output_named("x"), 2);
+    EXPECT_EQ(b.output_named("y"), 0);
+}
+
+// --- subsystem reachability vs a per-Inport DFS ------------------------------
+
+struct OracleAtom {
+    const Block* block;
+    int port;
+    bool is_output;
+
+    friend auto operator<=>(const OracleAtom&, const OracleAtom&) = default;
+};
+
+uhcg::core::SubsystemReach oracle_reach(const Block& sub);
+
+std::vector<OracleAtom> oracle_next(const System& sys, const OracleAtom& a) {
+    std::vector<OracleAtom> out;
+    if (a.is_output) {
+        for (const Line* l : sys.lines())
+            if (l->source() == PortRef{const_cast<Block*>(a.block), a.port})
+                for (const PortRef& d : l->destinations())
+                    out.push_back({d.block, d.port, false});
+        return out;
+    }
+    switch (a.block->type()) {
+        case BlockType::UnitDelay:
+        case BlockType::Inport:
+        case BlockType::Outport:
+        case BlockType::Scope:
+            break;
+        case BlockType::SubSystem: {
+            const uhcg::core::SubsystemReach table = oracle_reach(*a.block);
+            for (int j : table[static_cast<std::size_t>(a.port)])
+                out.push_back({a.block, j, true});
+            break;
+        }
+        default:
+            for (int j = 1; j <= a.block->output_count(); ++j)
+                out.push_back({a.block, j, true});
+    }
+    return out;
+}
+
+std::set<OracleAtom> oracle_closure(const System& sys,
+                                    std::vector<OracleAtom> stack) {
+    std::set<OracleAtom> seen;
+    while (!stack.empty()) {
+        OracleAtom a = stack.back();
+        stack.pop_back();
+        if (!seen.insert(a).second) continue;
+        for (const OracleAtom& n : oracle_next(sys, a)) stack.push_back(n);
+    }
+    return seen;
+}
+
+uhcg::core::SubsystemReach oracle_reach(const Block& sub) {
+    const System& sys = *sub.system();
+    const auto rows = static_cast<std::size_t>(sub.input_count()) + 1;
+    uhcg::core::SubsystemReach table(rows);
+    for (int i = 1; i <= sub.input_count(); ++i) {
+        for (const Block* in : sys.blocks()) {
+            if (in->type() != BlockType::Inport || port_number(*in) != i) continue;
+            std::set<OracleAtom> seen = oracle_closure(sys, {{in, 1, true}});
+            for (const Block* out : sys.blocks())
+                if (out->type() == BlockType::Outport &&
+                    seen.count({out, 1, false}) != 0)
+                    table[static_cast<std::size_t>(i)].push_back(port_number(*out));
+        }
+        auto& row = table[static_cast<std::size_t>(i)];
+        std::sort(row.begin(), row.end());
+        row.erase(std::unique(row.begin(), row.end()), row.end());
+        std::erase_if(row, [&](int j) { return j < 1 || j > sub.output_count(); });
+    }
+    return table;
+}
+
+/// True when some atom of `sys` or of a nested system reaches itself.
+bool oracle_cycle(const System& sys) {
+    for (const Block* b : sys.blocks()) {
+        if (b->system() && oracle_cycle(*b->system())) return true;
+        for (int out = 0; out < 2; ++out)
+            for (int p = 1; p <= (out ? b->output_count() : b->input_count()); ++p) {
+                OracleAtom a{b, p, out == 1};
+                if (oracle_closure(sys, oracle_next(sys, a)).count(a) != 0)
+                    return true;
+            }
+    }
+    return false;
+}
+
+/// A subsystem body with `ins`/`outs` boundary markers, a few random
+/// blocks (a nested subsystem when `depth` allows) and random wiring, so
+/// combinational cycles inside are common.
+void fill_random(Block& sub, int ins, int outs, int depth, std::mt19937& rng) {
+    System& sys = *sub.system();
+    sub.set_ports(ins, outs);
+    auto pick = [&](int n) {
+        return static_cast<int>(rng() % static_cast<unsigned>(n));
+    };
+    std::vector<PortRef> sources, sinks;
+    for (int i = 1; i <= ins; ++i) {
+        Block& b = sys.add_block("in" + std::to_string(i), BlockType::Inport);
+        b.set_parameter("Port", std::to_string(i));
+        sources.push_back({&b, 1});
+    }
+    for (int j = 1; j <= outs; ++j) {
+        Block& b = sys.add_block("out" + std::to_string(j), BlockType::Outport);
+        b.set_parameter("Port", std::to_string(j));
+        sinks.push_back({&b, 1});
+    }
+    const BlockType kinds[] = {BlockType::Gain, BlockType::Sum, BlockType::UnitDelay,
+                               BlockType::SubSystem};
+    const int blocks = 3 + pick(6);
+    for (int k = 0; k < blocks; ++k) {
+        BlockType type = kinds[pick(depth > 0 ? 4 : 3)];
+        Block& b = sys.add_block("k" + std::to_string(k), type);
+        if (type == BlockType::SubSystem) {
+            const int nested_ins = 1 + pick(3);
+            fill_random(b, nested_ins, 1 + pick(3), depth - 1, rng);
+        }
+        for (int p = 1; p <= b.input_count(); ++p) sinks.push_back({&b, p});
+        for (int p = 1; p <= b.output_count(); ++p) sources.push_back({&b, p});
+    }
+    for (const PortRef& dst : sinks)
+        if (pick(5) != 0)
+            sys.add_line(sources[static_cast<std::size_t>(pick(
+                             static_cast<int>(sources.size())))],
+                         dst);
+}
+
+TEST(SubsystemReach, MatchesAPerInportDfsWithInternalCycles) {
+    int inner_cycles = 0, outer_cycles = 0;
+    for (unsigned seed = 1; seed <= 200; ++seed) {
+        std::mt19937 rng(seed);
+        Model m("m");
+        Block& sub = m.root().add_subsystem("S");
+        const int ins = 1 + static_cast<int>(rng() % 4);
+        fill_random(sub, ins, 1 + static_cast<int>(rng() % 4), 1, rng);
+        ASSERT_EQ(uhcg::core::combinational_reach(sub), oracle_reach(sub))
+            << "seed " << seed;
+        const bool inner = uhcg::core::has_combinational_cycle(m);
+        ASSERT_EQ(inner, oracle_cycle(m.root())) << "seed " << seed;
+        inner_cycles += inner ? 1 : 0;
+        // Feed every output back into an input: the parent now has a cycle
+        // exactly when the table says some input reaches that output.
+        for (int j = 1; j <= sub.output_count(); ++j) {
+            PortRef dst{&sub, 1 + (j - 1) % sub.input_count()};
+            if (!m.root().line_into(dst)) m.root().add_line({&sub, j}, dst);
+        }
+        const bool outer = uhcg::core::has_combinational_cycle(m);
+        ASSERT_EQ(outer, oracle_cycle(m.root())) << "seed " << seed;
+        outer_cycles += outer && !inner ? 1 : 0;
+    }
+    // Both kinds of cycle occur across the seeds.
+    EXPECT_GT(inner_cycles, 10);
+    EXPECT_GT(outer_cycles, 10);
 }
 
 TEST(SimulinkEnums, RoundTrips) {
