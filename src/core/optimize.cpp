@@ -1,7 +1,6 @@
 #include "core/optimize.hpp"
 
 #include <map>
-#include <set>
 #include <string_view>
 #include <tuple>
 #include <unordered_map>
@@ -70,15 +69,10 @@ ChannelReport infer_channels(simulink::Model& model, const CommModel& comm) {
     };
 
     // --- §4.2.1 channel inference -------------------------------------------
-    std::set<std::tuple<std::string, std::string, std::string>> seen;
-    for (const Channel& c : comm.channels()) {
-        // Set on one side and Get on the other both describe the same data
-        // link; instantiate each (producer, consumer, var) channel once.
-        if (!seen.insert(std::make_tuple(c.producer->name(), c.consumer->name(),
-                                         c.variable))
-                 .second)
-            continue;
-
+    // Set on one side and Get on the other both describe the same data
+    // link; CommModel::links() holds each (producer, consumer, var) once.
+    for (const Channel* link : comm.links()) {
+        const Channel& c = *link;
         Block* p_tss = find_thread_ss(c.producer->name());
         Block* c_tss = find_thread_ss(c.consumer->name());
         if (!p_tss || !c_tss) {

@@ -23,27 +23,32 @@ std::size_t count_feedback_cycles(
     std::size_t back_edges = 0;
     for (const uml::ObjectInstance* root : threads) {
         if (color[root] != Color::White) continue;
-        // Stack frame: node + next outgoing-channel index to visit.
-        std::vector<std::pair<const uml::ObjectInstance*, std::size_t>> stack;
-        stack.push_back({root, 0});
+        // Stack frame: node, its outgoing channels (fetched once) and the
+        // next one to visit.
+        struct Frame {
+            const uml::ObjectInstance* node;
+            std::vector<const core::Channel*> outgoing;
+            std::size_t next = 0;
+        };
+        std::vector<Frame> stack;
+        stack.push_back({root, comm.outgoing(*root)});
         color[root] = Color::Grey;
         while (!stack.empty()) {
-            auto& [node, next] = stack.back();
-            auto outgoing = comm.outgoing(*node);
-            if (next >= outgoing.size()) {
-                color[node] = Color::Black;
+            Frame& frame = stack.back();
+            if (frame.next >= frame.outgoing.size()) {
+                color[frame.node] = Color::Black;
                 stack.pop_back();
                 continue;
             }
-            const core::Channel* channel = outgoing[next++];
-            const uml::ObjectInstance* succ = channel->consumer;
+            const uml::ObjectInstance* succ =
+                frame.outgoing[frame.next++]->consumer;
             auto it = color.find(succ);
             if (it == color.end()) continue;  // not a thread of this model
             if (it->second == Color::Grey)
                 ++back_edges;
             else if (it->second == Color::White) {
                 it->second = Color::Grey;
-                stack.push_back({succ, 0});
+                stack.push_back({succ, comm.outgoing(*succ)});
             }
         }
     }

@@ -1,7 +1,6 @@
 #include "kpn/from_uml.hpp"
 
 #include <map>
-#include <set>
 
 #include "kpn/generic.hpp"
 #include "uml/generic.hpp"
@@ -12,24 +11,17 @@ namespace {
 using model::Object;
 using model::ObjectModel;
 
-/// One deduplicated data link (Set and Get sides merged).
-struct Link {
-    const uml::ObjectInstance* producer;
-    const uml::ObjectInstance* consumer;
-    std::string variable;
-};
+/// A mapped process and its port index per (direction, variable).
+struct MappedProcess {
+    Object* process = nullptr;
+    std::map<std::string, std::int64_t> inputs, outputs;
 
-std::vector<Link> dedup_links(const core::CommModel& comm) {
-    std::vector<Link> out;
-    std::set<std::string> seen;
-    for (const core::Channel& c : comm.channels()) {
-        std::string key =
-            c.producer->name() + ">" + c.consumer->name() + ":" + c.variable;
-        if (seen.insert(key).second)
-            out.push_back({c.producer, c.consumer, c.variable});
+    std::int64_t port(const std::string& var, bool is_input) const {
+        const auto& ports = is_input ? inputs : outputs;
+        auto it = ports.find(var);
+        return it == ports.end() ? -1 : it->second;
     }
-    return out;
-}
+};
 
 }  // namespace
 
@@ -41,20 +33,26 @@ KpnMappingOutput map_to_kpn(const uml::Model& model,
 KpnMappingOutput map_to_kpn(const uml::Model& model, const core::CommModel& comm,
                             const KpnMappingOptions& options) {
     ObjectModel source = uml::to_generic(model);
-    const std::vector<Link> links = dedup_links(comm);
 
     struct State {
         const uml::Model* um;
         const core::CommModel* comm;
-        const std::vector<Link>* links;
+        std::vector<const core::Channel*> links;
+        /// Each thread's links (as producer or consumer), in link order.
+        std::map<const uml::ObjectInstance*, std::vector<const core::Channel*>>
+            thread_links;
         Object* network = nullptr;
-        std::map<const uml::ObjectInstance*, Object*> processes;
+        std::map<const uml::ObjectInstance*, MappedProcess> processes;
         std::size_t counter = 0;
     };
     auto st = std::make_shared<State>();
     st->um = &model;
     st->comm = &comm;
-    st->links = &links;
+    st->links = comm.links();
+    for (const core::Channel* l : st->links) {
+        st->thread_links[l->consumer].push_back(l);
+        if (l->producer != l->consumer) st->thread_links[l->producer].push_back(l);
+    }
 
     transform::Engine engine(kpn_metamodel());
 
@@ -82,53 +80,49 @@ KpnMappingOutput map_to_kpn(const uml::Model& model, const core::CommModel& comm
                                     "proc." + typed->name());
              p.set("name", typed->name());
              p.set("kernel", typed->name());
-             std::set<std::string> in_vars, out_vars;
+             MappedProcess& mapped = st->processes[typed] = {&p, {}, {}};
              std::int64_t in_index = 0, out_index = 0;
              auto add_port = [&](const std::string& var, bool is_input) {
-                 auto& seen = is_input ? in_vars : out_vars;
-                 if (!seen.insert(var).second) return;
+                 std::int64_t& index = is_input ? in_index : out_index;
+                 if (!(is_input ? mapped.inputs : mapped.outputs)
+                          .emplace(var, index)
+                          .second)
+                     return;
                  Object& port = ctx.target().create(
                      "Port", p.id() + (is_input ? ".in" : ".out") +
                                  std::to_string(st->counter++));
-                 port.set("index", is_input ? in_index++ : out_index++);
+                 port.set("index", index++);
                  port.set("isInput", is_input);
                  port.set("var", var);
                  p.add_ref("ports", port);
              };
-             for (const Link& l : *st->links) {
-                 if (l.consumer == typed) add_port(l.variable, true);
-                 if (l.producer == typed) add_port(l.variable, false);
-             }
+             if (auto it = st->thread_links.find(typed);
+                 it != st->thread_links.end())
+                 for (const core::Channel* l : it->second) {
+                     if (l->consumer == typed) add_port(l->variable, true);
+                     if (l->producer == typed) add_port(l->variable, false);
+                 }
              for (const core::IoAccess* a : st->comm->io_inputs(*typed))
                  add_port(a->variable, true);
              for (const core::IoAccess* a : st->comm->io_outputs(*typed))
                  add_port(a->variable, false);
-             st->processes[typed] = &p;
          }});
 
     // Rule 3: data links → channels; <<IO>> accesses → network ports.
     engine.add_rule(
         {"Links2Channels", "Model", nullptr,
          [st](transform::Context& ctx, const Object& src) {
-             auto port_index = [&](Object& proc, const std::string& var,
-                                   bool is_input) -> std::int64_t {
-                 for (const Object* port : proc.refs("ports"))
-                     if (port->get_bool("isInput") == is_input &&
-                         port->get_string("var") == var)
-                         return port->get_int("index");
-                 return -1;
-             };
              std::size_t index = 0;
-             for (const Link& l : *st->links) {
-                 Object& producer = *st->processes.at(l.producer);
-                 Object& consumer = *st->processes.at(l.consumer);
+             for (const core::Channel* l : st->links) {
+                 const MappedProcess& producer = st->processes.at(l->producer);
+                 const MappedProcess& consumer = st->processes.at(l->consumer);
                  Object& c = ctx.create(src, "Links2Channels", "Channel",
                                         "chan." + std::to_string(index++));
-                 c.set("variable", l.variable);
-                 c.set("producerPort", port_index(producer, l.variable, false));
-                 c.set("consumerPort", port_index(consumer, l.variable, true));
-                 c.set_ref("producer", &producer);
-                 c.set_ref("consumer", &consumer);
+                 c.set("variable", l->variable);
+                 c.set("producerPort", producer.port(l->variable, false));
+                 c.set("consumerPort", consumer.port(l->variable, true));
+                 c.set_ref("producer", producer.process);
+                 c.set_ref("consumer", consumer.process);
                  st->network->add_ref("channels", c);
              }
              std::size_t nport = 0;
@@ -139,8 +133,8 @@ KpnMappingOutput map_to_kpn(const uml::Model& model, const core::CommModel& comm
                                         "nport." + std::to_string(nport++));
                  p.set("var", a.variable);
                  p.set("isInput", a.is_input);
-                 p.set("port", port_index(*it->second, a.variable, a.is_input));
-                 p.set_ref("process", it->second);
+                 p.set("port", it->second.port(a.variable, a.is_input));
+                 p.set_ref("process", it->second.process);
                  st->network->add_ref("ports", p);
              }
              // Deterministic network order: model thread declaration order
@@ -149,7 +143,7 @@ KpnMappingOutput map_to_kpn(const uml::Model& model, const core::CommModel& comm
              for (const uml::ObjectInstance* t : st->um->threads()) {
                  auto it = st->processes.find(t);
                  if (it != st->processes.end())
-                     st->network->add_ref("processes", *it->second);
+                     st->network->add_ref("processes", *it->second.process);
              }
          }});
 
@@ -158,21 +152,25 @@ KpnMappingOutput map_to_kpn(const uml::Model& model, const core::CommModel& comm
     out.network = from_generic(generic);
 
     // §4.2.2 analogue: seed initial tokens on cycle-breaking channels of
-    // the process graph (DFS back edges).
+    // the process graph (DFS back edges). Each producer's channels are
+    // visited in channel order.
     if (options.auto_initial_tokens) {
         auto procs = out.network.processes();
         std::map<const Process*, std::size_t> index;
         for (std::size_t i = 0; i < procs.size(); ++i) index[procs[i]] = i;
+        std::vector<ChannelDecl>& channels = out.network.channels();
+        std::vector<std::vector<ChannelDecl*>> outgoing(procs.size());
+        for (ChannelDecl& c : channels)
+            outgoing[index.at(c.producer)].push_back(&c);
         enum Color { White, Gray, Black };
         std::vector<Color> color(procs.size(), White);
         auto dfs = [&](auto&& self, std::size_t p) -> void {
             color[p] = Gray;
-            for (ChannelDecl& c : out.network.channels()) {
-                if (index.at(c.producer) != p) continue;
-                std::size_t q = index.at(c.consumer);
+            for (ChannelDecl* c : outgoing[p]) {
+                std::size_t q = index.at(c->consumer);
                 if (color[q] == Gray) {
-                    if (c.initial_tokens == 0) {
-                        c.initial_tokens = 1;  // break the cycle
+                    if (c->initial_tokens == 0) {
+                        c->initial_tokens = 1;  // break the cycle
                         ++out.initial_tokens_inserted;
                     }
                 } else if (color[q] == White) {

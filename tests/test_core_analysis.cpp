@@ -2,6 +2,10 @@
 // task-graph mining and thread allocation (§4.2.3).
 #include <gtest/gtest.h>
 
+#include <set>
+#include <tuple>
+
+#include "campaign/corpus.hpp"
 #include "cases/cases.hpp"
 #include "core/allocation.hpp"
 #include "core/comm.hpp"
@@ -96,6 +100,73 @@ TEST(CommAnalysis, CraneChannels) {
     CommModel comm = analyze_communication(crane);
     EXPECT_EQ(comm.channels().size(), 4u);  // xc, alpha, pos_f, F
     EXPECT_EQ(comm.io_accesses().size(), 1u);  // display write
+}
+
+// Every per-thread query of the index answers what a scan of all channels
+// and accesses answers, in the same order; links() is the first channel
+// of each (producer name, consumer name, variable) tuple.
+TEST(CommAnalysis, IndexedQueriesMatchAScan) {
+    campaign::CorpusOptions synth;
+    synth.seed = 7;
+    synth.min_threads = synth.max_threads = 40;
+    synth.feedback_cycles = 1;
+    synth.models = 1;
+    std::vector<uml::Model> models;
+    models.push_back(campaign::synth_model(synth, 0));
+    models.push_back(cases::crane_model());
+    models.push_back(cases::mixed_model());
+    models.push_back(two_thread_model());
+    for (const uml::Model& m : models) {
+        SCOPED_TRACE(m.name());
+        CommModel comm = analyze_communication(m);
+        std::set<std::string> vars{"no-such-variable"};
+        for (const Channel& c : comm.channels()) vars.insert(c.variable);
+
+        std::vector<const Channel*> links;
+        std::set<std::tuple<std::string, std::string, std::string>> seen;
+        for (const Channel& c : comm.channels())
+            if (seen.emplace(c.producer->name(), c.consumer->name(), c.variable)
+                    .second)
+                links.push_back(&c);
+        EXPECT_EQ(comm.links(), links);
+
+        for (const uml::ObjectInstance* t : m.threads()) {
+            std::vector<const Channel*> in, out;
+            for (const Channel& c : comm.channels()) {
+                if (c.consumer == t) in.push_back(&c);
+                if (c.producer == t) out.push_back(&c);
+            }
+            EXPECT_EQ(comm.incoming(*t), in) << t->name();
+            EXPECT_EQ(comm.outgoing(*t), out) << t->name();
+            for (const std::string& v : vars) {
+                auto carries = [&](const std::vector<const Channel*>& cs) {
+                    for (const Channel* c : cs)
+                        if (c->variable == v) return true;
+                    return false;
+                };
+                EXPECT_EQ(comm.receives(*t, v), carries(in)) << t->name() << ' ' << v;
+                EXPECT_EQ(comm.must_produce(*t, v), carries(out))
+                    << t->name() << ' ' << v;
+            }
+            std::vector<const IoAccess*> io_in, io_out;
+            for (const IoAccess& a : comm.io_accesses())
+                if (a.thread == t) (a.is_input ? io_in : io_out).push_back(&a);
+            EXPECT_EQ(comm.io_inputs(*t), io_in) << t->name();
+            EXPECT_EQ(comm.io_outputs(*t), io_out) << t->name();
+            for (const uml::ObjectInstance* u : m.threads()) {
+                double sum = 0.0;
+                for (const Channel* c : out)
+                    if (c->consumer == u) sum += c->data_size;
+                EXPECT_EQ(comm.traffic(*t, *u), sum);
+            }
+        }
+    }
+    // A default CommModel is empty and answers every query.
+    CommModel empty;
+    const uml::Model& m = models.back();
+    EXPECT_TRUE(empty.links().empty());
+    EXPECT_TRUE(empty.outgoing(*m.threads().front()).empty());
+    EXPECT_FALSE(empty.receives(*m.threads().front(), "raw"));
 }
 
 // --- task graph mining ----------------------------------------------------------

@@ -778,6 +778,56 @@ TEST(Generate, CaamWorkCountersGrowLinearlyWithChannels) {
         << "caam.delays.atoms " << small.atoms << " -> " << large.atoms;
 }
 
+// The communication queries and the KPN branch are linear in the channel
+// count too. With the KPN branch on, between the same 60- and 120-thread
+// synth models, `core.comm.visits` (CommModel index entries visited) and
+// `kpn.run.visits` (executor ports checked plus tokens moved) grow with a
+// log-log slope of at most 1.25.
+TEST(Generate, FrontEndAndKpnWorkGrowLinearlyWithChannels) {
+    struct Work {
+        double channels, comm, kpn;
+    };
+    auto measure = [](std::size_t threads) {
+        campaign::CorpusOptions synth;
+        synth.models = 1;
+        synth.seed = 7;
+        synth.min_threads = threads;
+        synth.max_threads = threads;
+        uml::Model model = campaign::synth_model(synth, 0);
+        obs::Counter& comm = obs::counter("core.comm.visits");
+        obs::Counter& kpn = obs::counter("kpn.run.visits");
+        const std::uint64_t comm_before = comm.value();
+        const std::uint64_t kpn_before = kpn.value();
+        flow::GenerateOptions options;
+        options.with_kpn = true;
+        diag::DiagnosticEngine engine;
+        flow::GenerateResult result = flow::generate(model, options, engine);
+        EXPECT_EQ(result.status, flow::GenerateStatus::Ok) << threads;
+        Work work{0, static_cast<double>(comm.value() - comm_before),
+                  static_cast<double>(kpn.value() - kpn_before)};
+        for (const flow::StrategyResult& r : result.results)
+            for (const flow::GeneratedFile& f : r.files)
+                if (f.name.ends_with(".mdl")) {
+                    simulink::CaamStats stats =
+                        simulink::caam_stats(simulink::parse_mdl(f.contents));
+                    work.channels = static_cast<double>(stats.inter_channels +
+                                                        stats.intra_channels);
+                }
+        return work;
+    };
+    const Work small = measure(60);
+    const Work large = measure(120);
+    EXPECT_EQ(small.channels, 551);
+    EXPECT_EQ(large.channels, 2196);
+    ASSERT_GT(small.comm, 0);
+    ASSERT_GT(small.kpn, 0);
+    const double growth = std::log(large.channels / small.channels);
+    EXPECT_LE(std::log(large.comm / small.comm) / growth, 1.25)
+        << "core.comm.visits " << small.comm << " -> " << large.comm;
+    EXPECT_LE(std::log(large.kpn / small.kpn) / growth, 1.25)
+        << "kpn.run.visits " << small.kpn << " -> " << large.kpn;
+}
+
 // A parallel run's results, manifest and diagnostics are byte-identical
 // to the serial run's.
 TEST(Generate, ParallelDispatchMatchesSerialByteForByte) {
