@@ -238,9 +238,9 @@ PortLoc resolve_value(MappingState& st, ThreadLayer& layer,
 /// Call on the special Platform object: pre-defined block or S-function.
 void map_platform_call(MappingState& st, ThreadLayer& layer, const Object& msg) {
     Gen& g = *st.gen;
-    const std::string op = msg.get_string("operation");
+    const std::string& op = msg.get_string("operation");
     const auto& args = msg.refs("arguments");
-    const std::string result = msg.get_string("result");
+    const std::string& result = msg.get_string("result");
 
     auto entry = simulink::lookup_platform_method(op);
     std::string type = entry ? std::string(to_string(entry->type)) : "S-Function";
@@ -252,7 +252,7 @@ void map_platform_call(MappingState& st, ThreadLayer& layer, const Object& msg) 
 
     int port = 1;
     for (const Object* a : args) {
-        std::string var = a->get_string("name");
+        const std::string& var = a->get_string("name");
         PortLoc src = resolve_value(st, layer, var);
         g.connect(*layer.tsys, *src.block, src.port, b, port, var);
         ++port;
@@ -268,9 +268,9 @@ void map_platform_call(MappingState& st, ThreadLayer& layer, const Object& msg) 
 void map_passive_call(MappingState& st, ThreadLayer& layer, const Object& msg,
                       const Object& receiver) {
     Gen& g = *st.gen;
-    const std::string op_name = msg.get_string("operation");
+    const std::string& op_name = msg.get_string("operation");
     const auto& args = msg.refs("arguments");
-    const std::string result = msg.get_string("result");
+    const std::string& result = msg.get_string("result");
 
     // Find the declared operation on the receiver's classifier, if any.
     const Object* decl = nullptr;
@@ -286,7 +286,7 @@ void map_passive_call(MappingState& st, ThreadLayer& layer, const Object& msg,
         g.set_param(b, "FunctionName", op_name);
         int port = 1;
         for (const Object* a : args) {
-            std::string var = a->get_string("name");
+            const std::string& var = a->get_string("name");
             PortLoc src = resolve_value(st, layer, var);
             g.connect(*layer.tsys, *src.block, src.port, b, port++, var);
         }
@@ -301,7 +301,7 @@ void map_passive_call(MappingState& st, ThreadLayer& layer, const Object& msg,
     // outputs.
     int inputs = 0, outputs = 0;
     for (const Object* p : decl->refs("parameters")) {
-        std::string dir = p->get_string("direction");
+        const std::string& dir = p->get_string("direction");
         if (dir == "in" || dir == "inout") ++inputs;
         if (dir == "out" || dir == "inout" || dir == "return") ++outputs;
     }
@@ -314,8 +314,8 @@ void map_passive_call(MappingState& st, ThreadLayer& layer, const Object& msg,
     int in_port = 1, out_port = 1;
     std::size_t arg_index = 0;
     for (const Object* p : decl->refs("parameters")) {
-        std::string dir = p->get_string("direction");
-        std::string formal = p->get_string("name");
+        const std::string& dir = p->get_string("direction");
+        const std::string& formal = p->get_string("name");
         if (dir == "return") {
             g.name_port(b, out_port, false, result.empty() ? formal : result);
             if (!result.empty()) layer.defs[result] = {&b, out_port};
@@ -363,8 +363,8 @@ void map_message(MappingState& st, transform::Context& ctx, const Object& msg) {
         return;
     }
 
-    const std::string op = msg.get_string("operation");
-    const std::string result = msg.get_string("result");
+    const std::string& op = msg.get_string("operation");
+    const std::string& result = msg.get_string("result");
 
     if (receiver->get_bool("isThread")) {
         if (receiver == sender) {
@@ -375,7 +375,7 @@ void map_message(MappingState& st, transform::Context& ctx, const Object& msg) {
         if (op.rfind("Set", 0) == 0) {
             // Send: every argument becomes an outgoing channel value.
             for (const Object* a : msg.refs("arguments")) {
-                std::string var = a->get_string("name");
+                const std::string& var = a->get_string("name");
                 PortLoc src = resolve_value(st, *layer, var);
                 thread_output(st, *layer, var, kCommKindChannel, src);
             }
@@ -394,7 +394,7 @@ void map_message(MappingState& st, transform::Context& ctx, const Object& msg) {
             thread_input(st, *layer, result, kCommKindIo);
         } else if (op.rfind("set", 0) == 0) {
             for (const Object* a : msg.refs("arguments")) {
-                std::string var = a->get_string("name");
+                const std::string& var = a->get_string("name");
                 PortLoc src = resolve_value(st, *layer, var);
                 thread_output(st, *layer, var, kCommKindIo, src);
             }

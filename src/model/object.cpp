@@ -22,92 +22,71 @@ bool type_matches(AttrType type, const Value& value) {
     return false;
 }
 
+/// `new T[n]` for n > 0; classes without attributes or references cost
+/// no allocation.
+template <typename T>
+std::unique_ptr<T[]> slots(std::size_t n) {
+    return n == 0 ? nullptr : std::make_unique<T[]>(n);
+}
+
 }  // namespace
 
-std::string value_to_string(const Value& value) {
-    return std::visit(
-        [](const auto& v) -> std::string {
-            using T = std::decay_t<decltype(v)>;
-            if constexpr (std::is_same_v<T, std::string>) {
-                return v;
-            } else if constexpr (std::is_same_v<T, bool>) {
-                return v ? "true" : "false";
-            } else {
-                return std::to_string(v);
-            }
-        },
-        value);
-}
-
-Value value_from_string(AttrType type, const std::string& text) {
-    try {
-        switch (type) {
-            case AttrType::String:
-            case AttrType::Enum:
-                return text;
-            case AttrType::Int: return static_cast<std::int64_t>(std::stoll(text));
-            case AttrType::Real: return std::stod(text);
-            case AttrType::Bool:
-                if (text == "true" || text == "1") return true;
-                if (text == "false" || text == "0") return false;
-                throw std::invalid_argument("not a bool");
-        }
-    } catch (const std::exception&) {
-        throw std::invalid_argument("cannot parse '" + text + "' as " +
-                                    std::string(to_string(type)));
-    }
-    throw std::invalid_argument("unknown attribute type");
-}
+Object::Object(const MetaClass& meta, std::string id)
+    : meta_(&meta),
+      id_(std::move(id)),
+      attrs_(slots<std::optional<Value>>(meta.all_attributes().size())),
+      refs_(slots<std::vector<Object*>>(meta.all_references().size())) {}
 
 bool Object::is_a(std::string_view class_name) const {
-    const MetaClass* ancestor = owner_->metamodel().find_class(class_name);
+    const MetaClass* ancestor = meta_->metamodel().find_class(class_name);
     return ancestor != nullptr && meta_->conforms_to(*ancestor);
 }
 
 void Object::set(std::string_view name, Value value) {
-    const MetaAttribute* decl = meta_->find_attribute(name);
-    if (!decl)
+    const std::size_t i = meta_->attribute_index(name);
+    if (i == MetaClass::npos)
         throw std::invalid_argument("class " + meta_->name() +
                                     " has no attribute '" + std::string(name) + "'");
-    if (!type_matches(decl->type, value))
+    const MetaAttribute& decl = *meta_->all_attributes()[i];
+    if (!type_matches(decl.type, value))
         throw std::invalid_argument("type mismatch setting " + meta_->name() + "." +
                                     std::string(name));
-    if (decl->type == AttrType::Real && std::holds_alternative<std::int64_t>(value))
+    if (decl.type == AttrType::Real && std::holds_alternative<std::int64_t>(value))
         value = static_cast<double>(std::get<std::int64_t>(value));
-    if (decl->type == AttrType::Enum) {
+    if (decl.type == AttrType::Enum) {
         const std::string& literal = std::get<std::string>(value);
-        if (std::find(decl->literals.begin(), decl->literals.end(), literal) ==
-            decl->literals.end())
+        if (std::find(decl.literals.begin(), decl.literals.end(), literal) ==
+            decl.literals.end())
             throw std::invalid_argument("'" + literal + "' is not a literal of enum " +
                                         meta_->name() + "." + std::string(name));
     }
-    attrs_.insert_or_assign(std::string(name), std::move(value));
+    attrs_[i] = std::move(value);
 }
 
 bool Object::has(std::string_view name) const {
-    return attrs_.find(name) != attrs_.end();
+    const std::size_t i = meta_->attribute_index(name);
+    return i != MetaClass::npos && attrs_[i].has_value();
 }
 
-Value Object::get(std::string_view name) const {
-    if (auto it = attrs_.find(name); it != attrs_.end()) return it->second;
-    const MetaAttribute* decl = meta_->find_attribute(name);
-    if (!decl)
+const Value& Object::get(std::string_view name) const {
+    const std::size_t i = meta_->attribute_index(name);
+    if (i == MetaClass::npos)
         throw std::out_of_range("class " + meta_->name() + " has no attribute '" +
                                 std::string(name) + "'");
-    if (decl->default_value)
-        return value_from_string(decl->type, *decl->default_value);
+    if (attrs_[i]) return *attrs_[i];
+    if (const Value* fallback = meta_->attribute_default(i)) return *fallback;
     throw std::out_of_range("attribute " + meta_->name() + "." + std::string(name) +
                             " of object '" + id_ + "' is unset and has no default");
 }
 
-std::string Object::get_string(std::string_view name) const {
+const std::string& Object::get_string(std::string_view name) const {
     return std::get<std::string>(get(name));
 }
 std::int64_t Object::get_int(std::string_view name) const {
     return std::get<std::int64_t>(get(name));
 }
 double Object::get_real(std::string_view name) const {
-    Value v = get(name);
+    const Value& v = get(name);
     if (std::holds_alternative<std::int64_t>(v))
         return static_cast<double>(std::get<std::int64_t>(v));
     return std::get<double>(v);
@@ -116,22 +95,23 @@ bool Object::get_bool(std::string_view name) const {
     return std::get<bool>(get(name));
 }
 
-const MetaReference& Object::checked_reference(std::string_view name) const {
-    const MetaReference* decl = meta_->find_reference(name);
-    if (!decl)
+std::size_t Object::checked_reference(std::string_view name) const {
+    const std::size_t i = meta_->reference_index(name);
+    if (i == MetaClass::npos)
         throw std::invalid_argument("class " + meta_->name() + " has no reference '" +
                                     std::string(name) + "'");
-    return *decl;
+    return i;
 }
 
 void Object::add_ref(std::string_view name, Object& target) {
-    const MetaReference& decl = checked_reference(name);
-    const MetaClass* target_class = owner_->metamodel().find_class(decl.target);
+    const std::size_t i = checked_reference(name);
+    const MetaReference& decl = *meta_->all_references()[i];
+    const MetaClass* target_class = meta_->reference_target(i);
     if (target_class && !target.meta().conforms_to(*target_class))
         throw std::invalid_argument("object of class " + target.meta().name() +
                                     " cannot be referenced by " + meta_->name() + "." +
                                     decl.name + " (expects " + decl.target + ")");
-    auto& slot = refs_[std::string(name)];
+    std::vector<Object*>& slot = refs_[i];
     if (!decl.many && !slot.empty())
         throw std::invalid_argument("reference " + meta_->name() + "." + decl.name +
                                     " is single-valued and already set");
@@ -140,7 +120,7 @@ void Object::add_ref(std::string_view name, Object& target) {
             throw std::invalid_argument("object '" + target.id() +
                                         "' is already contained elsewhere");
         target.parent_ = this;
-        target.containing_feature_ = decl.name;
+        target.containing_feature_ = &decl;
     }
     slot.push_back(&target);
 }
@@ -151,36 +131,32 @@ void Object::set_ref(std::string_view name, Object* target) {
 }
 
 void Object::clear_ref(std::string_view name) {
-    const MetaReference& decl = checked_reference(name);
-    auto it = refs_.find(name);
-    if (it == refs_.end()) return;
-    if (decl.containment) {
-        for (Object* child : it->second) {
+    const std::size_t i = checked_reference(name);
+    std::vector<Object*>& slot = refs_[i];
+    if (meta_->all_references()[i]->containment) {
+        for (Object* child : slot) {
             child->parent_ = nullptr;
-            child->containing_feature_.clear();
+            child->containing_feature_ = nullptr;
         }
     }
-    refs_.erase(it);
+    slot.clear();
 }
 
 bool Object::remove_ref(std::string_view name, Object& target) {
-    const MetaReference& decl = checked_reference(name);
-    auto it = refs_.find(name);
-    if (it == refs_.end()) return false;
-    auto pos = std::find(it->second.begin(), it->second.end(), &target);
-    if (pos == it->second.end()) return false;
-    if (decl.containment) {
+    const std::size_t i = checked_reference(name);
+    std::vector<Object*>& slot = refs_[i];
+    auto pos = std::find(slot.begin(), slot.end(), &target);
+    if (pos == slot.end()) return false;
+    if (meta_->all_references()[i]->containment) {
         target.parent_ = nullptr;
-        target.containing_feature_.clear();
+        target.containing_feature_ = nullptr;
     }
-    it->second.erase(pos);
+    slot.erase(pos);
     return true;
 }
 
 const std::vector<Object*>& Object::refs(std::string_view name) const {
-    checked_reference(name);  // diagnose typos even on unset slots
-    auto it = refs_.find(name);
-    return it == refs_.end() ? kNoRefs : it->second;
+    return refs_[checked_reference(name)];  // diagnoses typos on unset slots too
 }
 
 Object* Object::ref(std::string_view name) const {
@@ -190,12 +166,10 @@ Object* Object::ref(std::string_view name) const {
 
 std::vector<Object*> Object::contained() const {
     std::vector<Object*> out;
-    for (const MetaReference* decl : meta_->all_references()) {
-        if (!decl->containment) continue;
-        auto it = refs_.find(decl->name);
-        if (it == refs_.end()) continue;
-        out.insert(out.end(), it->second.begin(), it->second.end());
-    }
+    const auto& decls = meta_->all_references();
+    for (std::size_t i = 0; i < decls.size(); ++i)
+        if (decls[i]->containment)
+            out.insert(out.end(), refs_[i].begin(), refs_[i].end());
     return out;
 }
 
@@ -211,8 +185,7 @@ Object& ObjectModel::create(std::string_view class_name, std::string id) {
     } else if (by_id_.count(id) != 0) {
         throw std::invalid_argument("duplicate object id: " + id);
     }
-    objects_.push_back(std::make_unique<Object>(meta, id, this));
-    Object& obj = *objects_.back();
+    Object& obj = objects_.emplace_back(meta, std::move(id));
     by_id_.emplace(obj.id(), &obj);
     return obj;
 }
@@ -229,22 +202,24 @@ const Object* ObjectModel::find(std::string_view id) const {
 
 std::vector<Object*> ObjectModel::roots() const {
     std::vector<Object*> out;
-    for (const auto& obj : objects_)
-        if (obj->parent() == nullptr) out.push_back(obj.get());
+    for (Object& obj : objects_)
+        if (obj.parent() == nullptr) out.push_back(&obj);
     return out;
 }
 
 std::vector<Object*> ObjectModel::objects() const {
     std::vector<Object*> out;
     out.reserve(objects_.size());
-    for (const auto& obj : objects_) out.push_back(obj.get());
+    for (Object& obj : objects_) out.push_back(&obj);
     return out;
 }
 
 std::vector<Object*> ObjectModel::all_of(std::string_view class_name) const {
     std::vector<Object*> out;
-    for (const auto& obj : objects_)
-        if (obj->is_a(class_name)) out.push_back(obj.get());
+    const MetaClass* cls = meta_->find_class(class_name);
+    if (cls == nullptr) return out;
+    for (Object& obj : objects_)
+        if (obj.meta().conforms_to(*cls)) out.push_back(&obj);
     return out;
 }
 

@@ -1,40 +1,34 @@
 // object.hpp — typed object instances conforming to a Metamodel.
 //
-// Objects live in an ObjectModel, which owns every instance (stable
-// addresses, arena-style). Containment is recorded as parent/child links on
-// top of that central ownership, so moving an object between containers
-// never invalidates pointers — the property the transformation engine's
-// trace links depend on.
+// Objects live in an ObjectModel, which owns every instance in a stable
+// arena (a deque: addresses never change, not even when the model is
+// moved). Containment is recorded as parent/child links on top of that
+// central ownership, so moving an object between containers never
+// invalidates pointers — the property the transformation engine's trace
+// links depend on.
+//
+// An object's attribute and reference slots are arrays indexed by its
+// class's layout position (MetaClass::all_attributes/all_references); a
+// feature name is found by a short scan over the layout.
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
-#include <variant>
+#include <unordered_map>
 #include <vector>
 
 #include "model/metamodel.hpp"
 
 namespace uhcg::model {
 
-/// Slot value for attributes. Enum literals are carried as strings and
-/// validated against the declaring MetaAttribute.
-using Value = std::variant<std::string, std::int64_t, double, bool>;
-
-std::string value_to_string(const Value& value);
-/// Parses `text` according to `type`; throws std::invalid_argument on
-/// malformed input.
-Value value_from_string(AttrType type, const std::string& text);
-
-class ObjectModel;
-
 /// One instance of a MetaClass.
 class Object {
 public:
-    Object(const MetaClass& meta, std::string id, ObjectModel* owner)
-        : meta_(&meta), id_(std::move(id)), owner_(owner) {}
+    Object(const MetaClass& meta, std::string id);
     Object(const Object&) = delete;
     Object& operator=(const Object&) = delete;
 
@@ -53,8 +47,8 @@ public:
     bool has(std::string_view name) const;
     /// Returns the slot value, falling back to the declared default; throws
     /// std::out_of_range when the slot is unset and has no default.
-    Value get(std::string_view name) const;
-    std::string get_string(std::string_view name) const;
+    const Value& get(std::string_view name) const;
+    const std::string& get_string(std::string_view name) const;
     std::int64_t get_int(std::string_view name) const;
     double get_real(std::string_view name) const;
     bool get_bool(std::string_view name) const;
@@ -74,25 +68,25 @@ public:
 
     /// Containing object (via some containment reference) or nullptr.
     Object* parent() const { return parent_; }
-    /// Name of the containment reference in parent holding this object.
-    const std::string& containing_feature() const { return containing_feature_; }
+    /// The containment reference in parent holding this object, or nullptr.
+    const MetaReference* containing_feature() const { return containing_feature_; }
 
     /// All objects directly contained by this one (all containment refs,
     /// declaration order of the references).
     std::vector<Object*> contained() const;
 
 private:
-    friend class ObjectModel;
-
-    const MetaReference& checked_reference(std::string_view name) const;
+    /// Layout position of a reference; throws std::invalid_argument naming
+    /// the class when it has none called `name`.
+    std::size_t checked_reference(std::string_view name) const;
 
     const MetaClass* meta_;
     std::string id_;
-    ObjectModel* owner_;
     Object* parent_ = nullptr;
-    std::string containing_feature_;
-    std::map<std::string, Value, std::less<>> attrs_;
-    std::map<std::string, std::vector<Object*>, std::less<>> refs_;
+    const MetaReference* containing_feature_ = nullptr;
+    /// Indexed by layout position; empty optional = unset.
+    std::unique_ptr<std::optional<Value>[]> attrs_;
+    std::unique_ptr<std::vector<Object*>[]> refs_;
 };
 
 /// Owns all Objects of one model instance and indexes them by id.
@@ -101,15 +95,8 @@ public:
     explicit ObjectModel(const Metamodel& meta) : meta_(&meta) {}
     ObjectModel(const ObjectModel&) = delete;
     ObjectModel& operator=(const ObjectModel&) = delete;
-    ObjectModel(ObjectModel&& other) noexcept { *this = std::move(other); }
-    ObjectModel& operator=(ObjectModel&& other) noexcept {
-        meta_ = other.meta_;
-        objects_ = std::move(other.objects_);
-        by_id_ = std::move(other.by_id_);
-        next_id_ = other.next_id_;
-        for (auto& obj : objects_) obj->owner_ = this;  // re-anchor back pointers
-        return *this;
-    }
+    ObjectModel(ObjectModel&&) noexcept = default;
+    ObjectModel& operator=(ObjectModel&&) noexcept = default;
 
     const Metamodel& metamodel() const { return *meta_; }
 
@@ -132,8 +119,11 @@ public:
 
 private:
     const Metamodel* meta_;
-    std::vector<std::unique_ptr<Object>> objects_;
-    std::map<std::string, Object*, std::less<>> by_id_;
+    /// `roots`, `objects` and `all_of` are const but hand out mutable
+    /// objects.
+    mutable std::deque<Object> objects_;
+    /// Keyed by views into the objects' ids, which never move.
+    std::unordered_map<std::string_view, Object*> by_id_;
     std::uint64_t next_id_ = 1;
 };
 

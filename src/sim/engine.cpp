@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <unordered_map>
 
 #include "obs/obs.hpp"
 
@@ -120,23 +121,54 @@ struct Simulator::Net {
 
     std::map<const Block*, int> first_slot_of;  // atomic block → output slot
 
+    /// A subsystem's Outports by Port, as a block-order scan finds them:
+    /// the first Outport per Port, up to the first whose Port does not
+    /// parse (the scan would stop there with that error).
+    struct Outports {
+        std::unordered_map<int, Block*> by_port;
+        const Block* bad_port = nullptr;
+    };
+    std::unordered_map<const System*, Outports> outports;
+    /// Blocks visited resolving drivers: each resolution step plus each
+    /// block scanned building an Outport table (`sim.resolve.visits`).
+    std::uint64_t visits = 0;
+
+    const Outports& outports_of(System& sys) {
+        auto [it, fresh] = outports.try_emplace(&sys);
+        if (!fresh) return it->second;
+        for (Block* b : sys.block_view()) {
+            ++visits;
+            if (b->type() != BlockType::Outport) continue;
+            try {
+                it->second.by_port.try_emplace(port_number(*b), b);
+            } catch (const std::runtime_error&) {
+                it->second.bad_port = b;
+                break;
+            }
+        }
+        return it->second;
+    }
+
     Driver resolve_output(const System& sys, PortRef src, const System& root) {
         (void)sys;  // kept for symmetry with callers resolving within a system
+        ++visits;
         Block& b = *src.block;
         if (b.type() == BlockType::SubSystem) {
-            // Dive: the inner Outport with Port == src.port.
-            for (Block* inner : b.system()->blocks()) {
-                if (inner->type() == BlockType::Outport &&
-                    port_number(*inner) == src.port) {
-                    const Line* line = b.system()->line_into({inner, 1});
-                    if (!line)
-                        throw std::runtime_error("undriven Outport '" +
-                                                 full_path(*inner) + "'");
-                    return resolve_output(*b.system(), line->source(), root);
-                }
+            // Dive: the first inner Outport with Port == src.port.
+            const Outports& table = outports_of(*b.system());
+            auto hit = table.by_port.find(src.port);
+            if (hit == table.by_port.end()) {
+                if (table.bad_port) port_number(*table.bad_port);  // throws
+                throw std::runtime_error("subsystem '" + full_path(b) +
+                                         "' lacks Outport " +
+                                         std::to_string(src.port));
             }
-            throw std::runtime_error("subsystem '" + full_path(b) +
-                                     "' lacks Outport " + std::to_string(src.port));
+            Block* inner = hit->second;
+            const Line* line = b.system()->line_into({inner, 1});
+            if (!line)
+                throw std::runtime_error("undriven Outport '" + full_path(*inner) +
+                                         "'");
+            return resolve_output(*b.system(), line->source(), root);
         }
         if (b.type() == BlockType::Inport && is_marker(b, root)) {
             // Surface: the owning subsystem's input port in the parent.
@@ -176,7 +208,7 @@ Simulator::Simulator(const simulink::Model& model,
     // Inports/Outports and Scopes) and assign output value slots.
     std::vector<const Block*> atomics;
     auto collect = [&](const System& sys, auto&& self) -> void {
-        for (const Block* b : sys.blocks()) {
+        for (const Block* b : sys.block_view()) {
             if (b->type() == BlockType::SubSystem) {
                 self(*b->system(), self);
                 continue;
@@ -212,6 +244,8 @@ Simulator::Simulator(const simulink::Model& model,
         }
         pending.push_back(std::move(p));
     }
+    obs::counter("sim.resolve.visits").add(net.visits);
+    net.outports = {};
 
     // Pass 3: topological order of the combinational dependency graph.
     // UnitDelay outputs are state, so they impose no ordering as drivers.

@@ -7,7 +7,7 @@ namespace {
 
 void walk(const System& system,
           const std::function<void(const Block&, const System&)>& visit) {
-    for (const Block* b : system.blocks()) {
+    for (const Block* b : system.block_view()) {
         visit(*b, system);
         if (b->system()) walk(*b->system(), visit);
     }
@@ -21,7 +21,7 @@ std::vector<Block*> cpu_subsystems(Model& model) {
 
 std::vector<const Block*> cpu_subsystems(const Model& model) {
     std::vector<const Block*> out;
-    for (const Block* b : model.root().blocks())
+    for (const Block* b : model.root().block_view())
         if (b->role() == CaamRole::CpuSubsystem) out.push_back(b);
     return out;
 }
@@ -34,7 +34,7 @@ std::vector<Block*> thread_subsystems(Block& cpu) {
 std::vector<const Block*> thread_subsystems(const Block& cpu) {
     std::vector<const Block*> out;
     if (!cpu.system()) return out;
-    for (const Block* b : cpu.system()->blocks())
+    for (const Block* b : cpu.system()->block_view())
         if (b->role() == CaamRole::ThreadSubsystem) out.push_back(b);
     return out;
 }
@@ -59,7 +59,7 @@ CaamStats caam_stats(const Model& model) {
     CaamStats s;
     s.total_blocks = model.root().total_blocks();
     s.total_lines = model.root().total_lines();
-    for (const Block* b : model.root().blocks()) {
+    for (const Block* b : model.root().block_view()) {
         if (b->type() == BlockType::Inport) ++s.system_inports;
         if (b->type() == BlockType::Outport) ++s.system_outports;
     }
@@ -129,7 +129,7 @@ std::vector<std::string> validate_caam(const Model& model) {
         if (b.is_subsystem()) {
             int inports = 0;
             int outports = 0;
-            for (const Block* child : b.system()->blocks()) {
+            for (const Block* child : b.system()->block_view()) {
                 if (child->type() == BlockType::Inport) ++inports;
                 if (child->type() == BlockType::Outport) ++outports;
             }

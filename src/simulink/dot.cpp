@@ -31,7 +31,7 @@ std::string shape_of(const Block& b) {
 std::string edge_anchor(const Block& b,
                         std::map<const Block*, std::string>& ids) {
     if (!b.is_subsystem()) return node_id(b, ids);
-    auto inner = b.system()->blocks();
+    const auto inner = b.system()->block_view();
     if (inner.empty()) return node_id(b, ids);  // degenerate: implicit node
     return edge_anchor(*inner.front(), ids);
 }
@@ -40,7 +40,7 @@ void emit_system(std::ostringstream& out, const System& sys,
                  const DotOptions& options,
                  std::map<const Block*, std::string>& ids, int depth) {
     std::string pad(static_cast<std::size_t>(depth) * 2, ' ');
-    for (const Block* b : sys.blocks()) {
+    for (const Block* b : sys.block_view()) {
         if (b->is_subsystem()) {
             out << pad << "subgraph cluster_" << node_id(*b, ids) << " {\n"
                 << pad << "  label=\"" << b->name();

@@ -109,7 +109,7 @@ Object& write_block(ObjectModel& out, const Block& block,
 void write_system(ObjectModel& out, Object& gsys, const System& system,
                   const std::string& id_prefix) {
     std::map<const Block*, Object*> block_map;
-    for (const Block* b : system.blocks()) {
+    for (const Block* b : system.block_view()) {
         Object& gb = write_block(out, *b, id_prefix);
         gsys.add_ref("blocks", gb);
         block_map[b] = &gb;

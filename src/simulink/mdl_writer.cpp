@@ -103,7 +103,7 @@ void write_system(std::ostream& out, const System& system, int depth) {
     out << "System {\n";
     indent(out, depth + 1);
     out << "Name " << quoted(system.name()) << '\n';
-    for (const Block* b : system.blocks()) write_block(out, *b, depth + 1);
+    for (const Block* b : system.block_view()) write_block(out, *b, depth + 1);
     for (const Line* l : system.lines()) write_line(out, *l, depth + 1);
     indent(out, depth);
     out << "}\n";

@@ -407,7 +407,7 @@ Model::Model(std::string name)
 
 void Model::reanchor(System& system) {
     system.model_ = this;
-    for (Block* b : system.blocks())
+    for (Block* b : system.block_view())
         if (b->system()) reanchor(*b->system());
 }
 

@@ -12,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <ranges>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -183,6 +184,18 @@ public:
     std::string unique_name(const std::string& hint);
     std::vector<Block*> blocks();
     std::vector<const Block*> blocks() const;
+    /// The same blocks without a copy: a view over the owning vector, so
+    /// add_block and remove_block invalidate it. Loops that edit the
+    /// system iterate blocks().
+    auto block_view() {
+        return blocks_ | std::views::transform(
+                             [](const std::unique_ptr<Block>& b) { return b.get(); });
+    }
+    auto block_view() const {
+        return blocks_ | std::views::transform([](const std::unique_ptr<Block>& b) {
+                   return static_cast<const Block*>(b.get());
+               });
+    }
     std::vector<Block*> blocks_of(BlockType type);
     std::vector<Block*> blocks_with_role(CaamRole role);
     /// Removes a block and every line endpoint touching it. Invalidates

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "obs/obs.hpp"
+
 namespace uhcg::transform {
 
 void Trace::record(const model::Object& source, const std::string& rule,
@@ -84,6 +86,8 @@ model::ObjectModel Engine::run(const model::ObjectModel& source, Trace* trace_ou
     }
     stats.target_objects = target.size();
     stats.trace_links = trace.link_count();
+    obs::counter("transform.objects")
+        .add(stats.source_objects + stats.target_objects);
     if (stats_out) *stats_out = stats;
     return target;
 }

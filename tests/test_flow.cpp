@@ -828,6 +828,64 @@ TEST(Generate, FrontEndAndKpnWorkGrowLinearlyWithChannels) {
         << "kpn.run.visits " << small.kpn << " -> " << large.kpn;
 }
 
+// The model-to-model transformations and the schedulability probe are
+// linear in the channel count. With the KPN branch on, between the same
+// 60- and 120-thread synth models, `transform.objects` (source plus target
+// objects of every transformation run) and `sim.resolve.visits` (blocks
+// visited resolving drivers) grow with a log-log slope of at most 1.25.
+// Both are exact: a parallel run counts what a serial run counts.
+TEST(Generate, MappingAndScheduleWorkGrowLinearlyWithChannels) {
+    struct Work {
+        double channels, objects, visits;
+    };
+    auto measure = [](std::size_t threads, std::size_t gen_jobs) {
+        campaign::CorpusOptions synth;
+        synth.models = 1;
+        synth.seed = 7;
+        synth.min_threads = threads;
+        synth.max_threads = threads;
+        uml::Model model = campaign::synth_model(synth, 0);
+        obs::Counter& objects = obs::counter("transform.objects");
+        obs::Counter& visits = obs::counter("sim.resolve.visits");
+        const std::uint64_t objects_before = objects.value();
+        const std::uint64_t visits_before = visits.value();
+        flow::GenerateOptions options;
+        options.with_kpn = true;
+        options.gen_jobs = gen_jobs;
+        diag::DiagnosticEngine engine;
+        flow::GenerateResult result = flow::generate(model, options, engine);
+        EXPECT_EQ(result.status, flow::GenerateStatus::Ok) << threads;
+        Work work{0, static_cast<double>(objects.value() - objects_before),
+                  static_cast<double>(visits.value() - visits_before)};
+        for (const flow::StrategyResult& r : result.results)
+            for (const flow::GeneratedFile& f : r.files)
+                if (f.name.ends_with(".mdl")) {
+                    simulink::CaamStats stats =
+                        simulink::caam_stats(simulink::parse_mdl(f.contents));
+                    work.channels = static_cast<double>(stats.inter_channels +
+                                                        stats.intra_channels);
+                }
+        return work;
+    };
+    const Work small = measure(60, 1);
+    const Work large = measure(120, 1);
+    EXPECT_EQ(small.channels, 551);
+    EXPECT_EQ(large.channels, 2196);
+    ASSERT_GT(small.objects, 0);
+    ASSERT_GT(small.visits, 0);
+    const double growth = std::log(large.channels / small.channels);
+    EXPECT_LE(std::log(large.objects / small.objects) / growth, 1.25)
+        << "transform.objects " << small.objects << " -> " << large.objects;
+    EXPECT_LE(std::log(large.visits / small.visits) / growth, 1.25)
+        << "sim.resolve.visits " << small.visits << " -> " << large.visits;
+    for (std::size_t threads : {60, 120}) {
+        const Work& serial = threads == 60 ? small : large;
+        const Work parallel = measure(threads, 4);
+        EXPECT_EQ(parallel.objects, serial.objects) << threads;
+        EXPECT_EQ(parallel.visits, serial.visits) << threads;
+    }
+}
+
 // A parallel run's results, manifest and diagnostics are byte-identical
 // to the serial run's.
 TEST(Generate, ParallelDispatchMatchesSerialByteForByte) {

@@ -2,10 +2,15 @@
 // objects, conformance validation and E-core XML interchange.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <latch>
+#include <thread>
+
 #include "model/ecore_io.hpp"
 #include "model/metamodel.hpp"
 #include "model/object.hpp"
 #include "model/validate.hpp"
+#include "simulink/generic.hpp"
 
 namespace {
 
@@ -122,7 +127,8 @@ TEST_F(ObjectTest, ContainmentReparenting) {
     Object& child = m.create("Node", "c");
     parent.add_ref("children", child);
     EXPECT_EQ(child.parent(), &parent);
-    EXPECT_EQ(child.containing_feature(), "children");
+    ASSERT_NE(child.containing_feature(), nullptr);
+    EXPECT_EQ(child.containing_feature()->name, "children");
     // Already contained elsewhere: rejected.
     Object& other = m.create("Node", "o");
     EXPECT_THROW(other.add_ref("children", child), std::invalid_argument);
@@ -168,6 +174,255 @@ TEST_F(ObjectTest, MoveReanchorsOwnership) {
     Object& b = moved.create("Node", "b");
     b.set("name", std::string("y"));
     EXPECT_TRUE(moved.find("a")->is_a("Node"));
+}
+
+// --- slot layout ------------------------------------------------------------------
+
+/// The `what()` of the exception `f` throws, which must be of type E.
+template <typename E>
+std::string thrown(const std::function<void()>& f) {
+    try {
+        f();
+    } catch (const E& e) {
+        return e.what();
+    } catch (const std::exception& e) {
+        return std::string("wrong exception type: ") + e.what();
+    }
+    return "no exception";
+}
+
+TEST_F(ObjectTest, ErrorTextsArePinned) {
+    Metamodel bad("Bad");
+    auto& holder = bad.add_class("Holder");
+    holder.add_attribute({"count", AttrType::Int, {}, "zz"});
+    holder.add_reference({"other", "Other", false, true, false});
+    bad.add_class("Abstract").set_abstract(true);
+    bad.add_class("Other");
+    ObjectModel bm(bad);
+    Object& h = bm.create("Holder", "h");
+    Object& x = bm.create("Other", "x");
+
+    Object& a = m.create("Node", "a");
+    Object& b = m.create("Node", "b");
+    Object& c = m.create("Node", "c");
+    using IA = std::invalid_argument;
+    using OOR = std::out_of_range;
+    EXPECT_EQ(thrown<IA>([&] { a.set("nosuch", std::string("v")); }),
+              "class Node has no attribute 'nosuch'");
+    EXPECT_EQ(thrown<IA>([&] { a.set("name", true); }),
+              "type mismatch setting Node.name");
+    EXPECT_EQ(thrown<IA>([&] { a.set("kind", std::string("zzz")); }),
+              "'zzz' is not a literal of enum Node.kind");
+    EXPECT_EQ(thrown<OOR>([&] { a.get("nosuch"); }),
+              "class Node has no attribute 'nosuch'");
+    EXPECT_EQ(thrown<OOR>([&] { a.get("name"); }),
+              "attribute Node.name of object 'a' is unset and has no default");
+    // The default is parsed once; every read rethrows its error.
+    EXPECT_EQ(thrown<IA>([&] { h.get("count"); }), "cannot parse 'zz' as int");
+    EXPECT_EQ(thrown<IA>([&] { h.get("count"); }), "cannot parse 'zz' as int");
+    EXPECT_EQ(thrown<IA>([&] { a.refs("nosuch"); }),
+              "class Node has no reference 'nosuch'");
+    EXPECT_EQ(thrown<IA>([&] { a.add_ref("nosuch", b); }),
+              "class Node has no reference 'nosuch'");
+    EXPECT_EQ(thrown<IA>([&] { a.clear_ref("nosuch"); }),
+              "class Node has no reference 'nosuch'");
+    EXPECT_EQ(thrown<IA>([&] { a.remove_ref("nosuch", b); }),
+              "class Node has no reference 'nosuch'");
+    EXPECT_EQ(thrown<IA>([&] { a.set_ref("nosuch", nullptr); }),
+              "class Node has no reference 'nosuch'");
+    EXPECT_EQ(thrown<IA>([&] { h.add_ref("other", h); }),
+              "object of class Holder cannot be referenced by Holder.other "
+              "(expects Other)");
+    EXPECT_EQ(thrown<IA>([&] {
+                  a.add_ref("next", b);
+                  a.add_ref("next", c);
+              }),
+              "reference Node.next is single-valued and already set");
+    EXPECT_EQ(thrown<IA>([&] {
+                  a.add_ref("children", b);
+                  c.add_ref("children", b);
+              }),
+              "object 'b' is already contained elsewhere");
+    EXPECT_EQ(thrown<IA>([&] { bm.create("Abstract"); }),
+              "cannot instantiate abstract class Abstract");
+    EXPECT_EQ(thrown<IA>([&] { m.create("Node", "a"); }), "duplicate object id: a");
+    EXPECT_EQ(thrown<OOR>([&] { m.create("Missing"); }),
+              "metamodel 'Tiny' has no class 'Missing'");
+    EXPECT_EQ(thrown<IA>([&] { value_from_string(AttrType::Bool, "maybe"); }),
+              "cannot parse 'maybe' as bool");
+    EXPECT_FALSE(a.has("nosuch"));  // a query, not an error
+    h.add_ref("other", x);
+    EXPECT_EQ(h.refs("other").size(), 1u);
+}
+
+TEST_F(ObjectTest, SlotReferencesSurviveLaterCreates) {
+    Object& a = m.create("Node", "a");
+    a.set("name", std::string("a name longer than any small-string buffer"));
+    Object& child = m.create("Node", "child");
+    a.add_ref("children", child);
+    const std::string& name = a.get_string("name");
+    const std::string& kind = a.get_string("kind");  // declared default
+    const std::vector<Object*>& children = a.refs("children");
+    const std::string* id = &child.id();
+    for (int i = 0; i < 10000; ++i) m.create(i % 2 ? "Node" : "Special");
+    EXPECT_EQ(name, "a name longer than any small-string buffer");
+    EXPECT_EQ(kind, "a");
+    ASSERT_EQ(children.size(), 1u);
+    EXPECT_EQ(children.front(), &child);
+    EXPECT_EQ(&m.find("child")->id(), id);
+    EXPECT_EQ(&a.get_string("name"), &name);
+}
+
+TEST_F(ObjectTest, FindWorksAfterMove) {
+    const std::string short_id = "s";
+    const std::string long_id(64, 'L');
+    Object& s = m.create("Node", short_id);
+    Object& l = m.create("Special", long_id);
+    ObjectModel moved = std::move(m);
+    EXPECT_EQ(moved.find(short_id), &s);
+    EXPECT_EQ(moved.find(long_id), &l);
+    ObjectModel assigned(mm);
+    assigned = std::move(moved);
+    EXPECT_EQ(assigned.find(short_id), &s);
+    EXPECT_EQ(assigned.find(long_id), &l);
+    EXPECT_EQ(assigned.find(long_id.substr(1)), nullptr);
+    EXPECT_THROW(assigned.create("Node", long_id), std::invalid_argument);
+    Object& fresh = assigned.create("Node", std::string(40, 'F'));
+    EXPECT_EQ(assigned.find(std::string(40, 'F')), &fresh);
+    EXPECT_EQ(assigned.size(), 3u);
+}
+
+TEST(Layout, SlotAndContainmentOrderAcrossThreeLevels) {
+    Metamodel mm("Chain");
+    auto& base = mm.add_class("Base");
+    base.add_attribute({"b1", AttrType::String, {}, "x"});
+    base.add_reference({"bkids", "Base", true, true, false});
+    base.add_reference({"blink", "Base", false, false, false});
+    auto& mid = mm.add_class("Mid");
+    mid.set_super("Base");
+    mid.add_attribute({"m1", AttrType::Int, {}, "2"});
+    mid.add_reference({"mkids", "Base", true, true, false});
+    auto& leaf = mm.add_class("Leaf");
+    leaf.set_super("Mid");
+    leaf.add_attribute({"l1", AttrType::Bool, {}, "true"});
+    leaf.add_attribute({"l2", AttrType::Real, {}, "0.5"});
+    leaf.add_reference({"lkids", "Base", true, true, false});
+
+    const MetaClass& cls = mm.get_class("Leaf");
+    std::vector<std::string> attrs, refs;
+    for (const MetaAttribute* a : cls.all_attributes()) attrs.push_back(a->name);
+    for (const MetaReference* r : cls.all_references()) refs.push_back(r->name);
+    EXPECT_EQ(attrs, (std::vector<std::string>{"b1", "m1", "l1", "l2"}));
+    EXPECT_EQ(refs, (std::vector<std::string>{"bkids", "blink", "mkids", "lkids"}));
+    EXPECT_EQ(cls.attribute_index("l2"), 3u);
+    EXPECT_EQ(cls.reference_index("mkids"), 2u);
+    EXPECT_EQ(cls.attribute_index("nosuch"), MetaClass::npos);
+    EXPECT_EQ(cls.super(), &mm.get_class("Mid"));
+    EXPECT_EQ(cls.super()->super(), &mm.get_class("Base"));
+    EXPECT_EQ(cls.reference_target(3), &mm.get_class("Base"));
+    EXPECT_TRUE(cls.conforms_to(mm.get_class("Base")));
+    EXPECT_FALSE(mm.get_class("Mid").conforms_to(cls));
+
+    ObjectModel m(mm);
+    Object& root = m.create("Leaf", "root");
+    EXPECT_EQ(root.get_string("b1"), "x");
+    EXPECT_EQ(root.get_int("m1"), 2);
+    EXPECT_TRUE(root.get_bool("l1"));
+    EXPECT_DOUBLE_EQ(root.get_real("l2"), 0.5);
+    root.set("m1", std::int64_t{5});
+    EXPECT_EQ(root.get_int("m1"), 5);
+    EXPECT_FALSE(root.has("b1"));
+    // Children added in an order unlike the references' declaration order.
+    Object& l = m.create("Base", "l");
+    Object& mk = m.create("Mid", "mk");
+    Object& b = m.create("Base", "b");
+    Object& b2 = m.create("Leaf", "b2");
+    root.add_ref("lkids", l);
+    root.add_ref("mkids", mk);
+    root.add_ref("bkids", b);
+    root.add_ref("bkids", b2);
+    root.set_ref("blink", &l);
+    std::vector<std::string> contained;
+    for (const Object* o : root.contained()) contained.push_back(o->id());
+    EXPECT_EQ(contained, (std::vector<std::string>{"b", "b2", "mk", "l"}));
+    EXPECT_EQ(b2.containing_feature(), cls.find_reference("bkids"));
+    EXPECT_EQ(mk.containing_feature(), cls.find_reference("mkids"));
+    EXPECT_EQ(root.containing_feature(), nullptr);
+    EXPECT_EQ(m.all_of("Mid").size(), 3u);  // root, mk, b2
+    EXPECT_EQ(m.all_of("Base").size(), 5u);
+    EXPECT_EQ(m.all_of("Nowhere").size(), 0u);
+    root.clear_ref("bkids");
+    EXPECT_EQ(b.parent(), nullptr);
+    EXPECT_EQ(b2.containing_feature(), nullptr);
+    EXPECT_EQ(root.contained().size(), 2u);
+}
+
+TEST(Layout, ClassesFreezeAtFirstObject) {
+    Metamodel mm("Freeze");
+    auto& base = mm.add_class("Base");
+    base.add_attribute({"a", AttrType::Int, {}, "0"});
+    auto& sub = mm.add_class("Sub");
+    sub.set_super("Base");
+    auto& other = mm.add_class("Other");
+    other.add_attribute({"o", AttrType::Int, {}, "0"});
+    other.add_attribute({"o2", AttrType::Int, {}, "0"});  // still open
+
+    ObjectModel m(mm);
+    m.create("Sub");  // builds Sub's layout, and Base's beneath it
+    EXPECT_THROW(sub.add_attribute({"s", AttrType::Int, {}, "0"}), std::logic_error);
+    EXPECT_THROW(sub.add_reference({"r", "Base", false, false, false}),
+                 std::logic_error);
+    EXPECT_THROW(sub.set_super("Other"), std::logic_error);
+    EXPECT_THROW(sub.set_abstract(true), std::logic_error);
+    EXPECT_THROW(base.add_attribute({"b", AttrType::Int, {}, "0"}), std::logic_error);
+    EXPECT_THROW(mm.add_class("Late"), std::logic_error);
+    EXPECT_EQ(mm.get_class("Sub").all_attributes().size(), 1u);
+    EXPECT_EQ(m.create("Other").get_int("o2"), 0);
+}
+
+TEST(Layout, FirstObjectsFromFourThreads) {
+    Metamodel mm("Shared");
+    auto& base = mm.add_class("Base");
+    base.add_attribute({"name", AttrType::String, {}, "unnamed"});
+    base.add_attribute({"weight", AttrType::Real, {}, "1.5"});
+    base.add_reference({"kids", "Base", true, true, false});
+    // Every level redeclares `depth`; as with any redeclared feature, the
+    // most derived declaration answers to the name.
+    for (int level = 1; level <= 3; ++level) {
+        auto& c = mm.add_class("Level" + std::to_string(level));
+        c.set_super(level == 1 ? "Base" : "Level" + std::to_string(level - 1));
+        c.add_attribute({"depth", AttrType::Int, {}, std::to_string(level)});
+    }
+
+    constexpr int kThreads = 4;
+    std::latch start(kThreads);
+    std::vector<std::string> results(kThreads);
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+        workers.emplace_back([&, t] {
+            start.arrive_and_wait();
+            ObjectModel m(mm);
+            // Each thread starts from a different class of the chain.
+            const std::string first = "Level" + std::to_string(3 - t % 3);
+            Object& root = m.create(first, "root");
+            std::string out = root.get_string("name") + "/" +
+                              std::to_string(root.get_real("weight"));
+            for (int level = 1; level <= 3; ++level) {
+                Object& o = m.create("Level" + std::to_string(level));
+                root.add_ref("kids", o);
+                out += "/" + std::to_string(o.get_int("depth"));
+            }
+            out += "/" + std::to_string(m.all_of("Level2").size());
+            results[static_cast<std::size_t>(t)] = out;
+        });
+    }
+    for (std::thread& w : workers) w.join();
+    // all_of("Level2"): the Level2 and Level3 children, plus a root of
+    // either class.
+    EXPECT_EQ(results[0], "unnamed/1.500000/1/2/3/3");
+    EXPECT_EQ(results[1], "unnamed/1.500000/1/2/3/3");
+    EXPECT_EQ(results[2], "unnamed/1.500000/1/2/3/2");
+    EXPECT_EQ(results[3], "unnamed/1.500000/1/2/3/3");
 }
 
 // --- validation -----------------------------------------------------------------
@@ -234,6 +489,31 @@ TEST_F(ObjectTest, EcoreRejectsUnknownAttribute) {
   <object class="Node" id="n" name="x" bogus="1"/>
 </uhcg:model>)";
     EXPECT_THROW(from_xml_string(mm, text), std::runtime_error);
+}
+
+TEST(ValueConversion, RejectsTrailingCharacters) {
+    EXPECT_THROW(value_from_string(AttrType::Int, "12abc"), std::invalid_argument);
+    EXPECT_THROW(value_from_string(AttrType::Real, "1.5x"), std::invalid_argument);
+    EXPECT_THROW(value_from_string(AttrType::Int, "12 "), std::invalid_argument);
+    EXPECT_EQ(std::get<std::int64_t>(value_from_string(AttrType::Int, "12")), 12);
+    EXPECT_DOUBLE_EQ(std::get<double>(value_from_string(AttrType::Real, "1.5")), 1.5);
+    EXPECT_DOUBLE_EQ(std::get<double>(value_from_string(AttrType::Real, "-2e3")), -2000.0);
+}
+
+TEST(ValueConversion, EcoreRejectsMalformedNumber) {
+    const char* text = R"(<?xml version="1.0" encoding="UTF-8"?>
+<uhcg:model metamodel="SimulinkCAAM">
+  <object class="Block" id="b" name="g" type="Gain" inputs="3x"/>
+</uhcg:model>)";
+    EXPECT_THROW(from_xml_string(uhcg::simulink::caam_metamodel(), text),
+                 std::invalid_argument);
+    std::string good = text;
+    good.replace(good.find("3x"), 2, "3");
+    ObjectModel m = from_xml_string(uhcg::simulink::caam_metamodel(), good);
+    EXPECT_EQ(m.find("b")->get_int("inputs"), 3);
+    EXPECT_EQ(to_xml_string(from_xml_string(uhcg::simulink::caam_metamodel(),
+                                            to_xml_string(m))),
+              to_xml_string(m));
 }
 
 TEST(ValueConversion, RoundTrips) {
