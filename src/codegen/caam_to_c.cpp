@@ -205,7 +205,7 @@ private:
         w.line("extern double uhcg_dpend[];");
         w.blank();
         w.line("#endif /* UHCG_RT_H */");
-        return w.str();
+        return w.take();
     }
 
     std::tuple<std::string, std::string, std::size_t> sfunction_files() const {
@@ -251,7 +251,7 @@ private:
             c.close();
             c.blank();
         }
-        return {h.str(), c.str(), sfuns.size()};
+        return {h.take(), c.take(), sfuns.size()};
     }
 
     std::string channel_ref(const Block& chan) const {
@@ -475,7 +475,7 @@ private:
             if (tc.tss->parent()->owner_block() == &cpu)
                 w.line(tc.fn_name + "();");
         w.close();
-        return w.str();
+        return w.take();
     }
 
     std::string main_file() const {
@@ -542,7 +542,7 @@ private:
         w.close();
         w.line("return 0;");
         w.close();
-        return w.str();
+        return w.take();
     }
 
     const simulink::Model* model_;

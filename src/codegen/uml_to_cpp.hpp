@@ -9,6 +9,7 @@
 
 #include <string>
 
+#include "core/comm.hpp"
 #include "diag/diag.hpp"
 #include "uml/model.hpp"
 
@@ -32,6 +33,15 @@ CppProgram generate_cpp_threads(const uml::Model& model,
 /// through `engine` under diag::codes::kCodegenThreads. Output is
 /// byte-identical to the overload above.
 CppProgram generate_cpp_threads(const uml::Model& model, std::size_t iterations,
+                                diag::DiagnosticEngine& engine);
+
+/// The one generator body, reading an existing analysis of `model`: one
+/// queue per CommModel::links() entry. Every thread and queue gets a C
+/// identifier of its own (the System::unique_name rule), so names that
+/// sanitize alike never merge. Adds the messages, links and channel
+/// probes it touches to the `codegen.threads.visits` counter.
+CppProgram generate_cpp_threads(const uml::Model& model, const core::CommModel& comm,
+                                std::size_t iterations,
                                 diag::DiagnosticEngine& engine);
 
 }  // namespace uhcg::codegen

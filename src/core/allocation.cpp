@@ -88,20 +88,29 @@ Allocation allocation_from_deployment(const uml::Model& model) {
 taskgraph::Clustering auto_clustering(const uml::Model& model,
                                       const CommModel& comm,
                                       std::size_t max_processors) {
+    return auto_clustering(build_task_graph(model, comm), max_processors);
+}
+
+taskgraph::Clustering auto_clustering(const taskgraph::TaskGraph& graph,
+                                      std::size_t max_processors) {
     obs::ObsSpan span("core.cluster");
     static obs::Counter& clusterings = obs::counter("core.clusterings");
     clusterings.add(1);
-    taskgraph::TaskGraph g = build_task_graph(model, comm);
     taskgraph::LinearClusteringOptions options;
     options.max_clusters = max_processors;
-    return taskgraph::linear_clustering(g, options);
+    return taskgraph::linear_clustering(graph, options);
 }
 
 Allocation auto_allocate(const uml::Model& model, const CommModel& comm,
                          std::size_t max_processors) {
+    return auto_allocate(model, build_task_graph(model, comm), max_processors);
+}
+
+Allocation auto_allocate(const uml::Model& model, const taskgraph::TaskGraph& graph,
+                         std::size_t max_processors) {
     obs::ObsSpan span("core.allocate-auto");
     auto threads = model.threads();
-    taskgraph::Clustering clustering = auto_clustering(model, comm, max_processors);
+    taskgraph::Clustering clustering = auto_clustering(graph, max_processors);
     Allocation out;
     for (int c = 0; c < clustering.cluster_count(); ++c)
         out.add_processor("CPU" + std::to_string(c));

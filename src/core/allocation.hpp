@@ -62,10 +62,15 @@ Allocation allocation_from_deployment(const uml::Model& model);
 /// `max_processors` of 0 leaves the cluster count to the algorithm.
 Allocation auto_allocate(const uml::Model& model, const CommModel& comm,
                          std::size_t max_processors = 0);
+/// The same over an already mined `graph` (build_task_graph of `model`).
+Allocation auto_allocate(const uml::Model& model, const taskgraph::TaskGraph& graph,
+                         std::size_t max_processors = 0);
 
 /// The clustering behind auto_allocate, exposed for the benches.
 taskgraph::Clustering auto_clustering(const uml::Model& model,
                                       const CommModel& comm,
+                                      std::size_t max_processors = 0);
+taskgraph::Clustering auto_clustering(const taskgraph::TaskGraph& graph,
                                       std::size_t max_processors = 0);
 
 }  // namespace uhcg::core

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "model/ecore_io.hpp"
 #include "simulink/caam.hpp"
 #include "simulink/generic.hpp"
 #include "uml/wellformed.hpp"
@@ -10,7 +11,10 @@ namespace uhcg::flow {
 
 namespace {
 
-void register_caam_passes(PassManager& pm, const core::MapperOptions& options) {
+constexpr const char* kEcoreDump = "core.dump-ecore";
+
+void register_caam_passes(PassManager& pm, const core::MapperOptions& options,
+                          const ModelAnalysis* analysis) {
     pm.set_internal_error_code(diag::codes::kMapInternal);
 
     // Gate: the conventions of §4.1 must hold or the mapping mis-wires.
@@ -40,10 +44,11 @@ void register_caam_passes(PassManager& pm, const core::MapperOptions& options) {
 
     // Analyses feeding the mapping.
     pm.add(Pass("core.comm",
-                [](PassContext& ctx) {
+                [analysis](PassContext& ctx) {
                     const uml::Model& model = *ctx.in<SourceModel>().model;
-                    core::CommModel& comm =
-                        ctx.out(core::analyze_communication(model));
+                    const core::CommModel& comm =
+                        analysis ? ctx.lend(analysis->comm)
+                                 : ctx.out(core::analyze_communication(model));
                     ctx.count("channels", comm.channels().size());
                     ctx.count("io-accesses", comm.io_accesses().size());
                 })
@@ -52,14 +57,18 @@ void register_caam_passes(PassManager& pm, const core::MapperOptions& options) {
            .runs_after("uml.wellformed"));
 
     pm.add(Pass("core.allocate",
-                [options](PassContext& ctx) {
+                [options, analysis](PassContext& ctx) {
                     const uml::Model& model = *ctx.in<SourceModel>().model;
                     const core::CommModel& comm = ctx.in<core::CommModel>();
-                    core::Allocation& alloc = ctx.out(
-                        options.auto_allocate
-                            ? core::auto_allocate(model, comm,
-                                                  options.max_processors)
-                            : core::allocation_from_deployment(model));
+                    auto allocate = [&] {
+                        if (!options.auto_allocate)
+                            return core::allocation_from_deployment(model);
+                        if (analysis)
+                            return core::auto_allocate(model, analysis->task_graph,
+                                                       options.max_processors);
+                        return core::auto_allocate(model, comm, options.max_processors);
+                    };
+                    core::Allocation& alloc = ctx.out(allocate());
                     ctx.count("processors", alloc.processor_count());
                 })
            .reads<SourceModel>()
@@ -92,7 +101,8 @@ void register_caam_passes(PassManager& pm, const core::MapperOptions& options) {
                     ctx.count("blocks", simulink::caam_stats(caam).total_blocks);
                 })
            .reads<core::MappingOutput>()
-           .writes<simulink::Model>());
+           .writes<simulink::Model>()
+           .runs_after(kEcoreDump));
 
     // Step 3: optimizations (both mutate the CAAM in place, hence barriers).
     pm.add(Pass("caam.channels",
@@ -164,17 +174,28 @@ std::optional<simulink::Model> run_caam_pipeline(
     PassManager& pm, const uml::Model& model,
     const core::MapperOptions& options, diag::DiagnosticEngine& engine,
     core::MapperReport& report, FlowTrace* trace, const std::string& group,
-    const std::function<void(PassManager&)>& extend) {
-    register_caam_passes(pm, options);
+    const std::function<void(PassManager&)>& extend,
+    const ModelAnalysis* analysis, ArtifactStore* scratch) {
+    register_caam_passes(pm, options, analysis);
     if (extend) extend(pm);
     const std::size_t first_diag = engine.size();
-    ArtifactStore store;
+    ArtifactStore local;
+    ArtifactStore& store = scratch ? *scratch : local;
     store.put(SourceModel{&model});
     auto run = pm.run(store, engine, trace, group);
     fill_mapper_report(report, store, engine, first_diag);
     simulink::Model* caam = store.get<simulink::Model>();
     if (!run.ok || !caam) return std::nullopt;
     return std::move(*caam);
+}
+
+void add_ecore_dump(PassManager& pm, std::string path, bool* written) {
+    pm.add(Pass(kEcoreDump,
+                [path = std::move(path), written](PassContext& ctx) {
+                    model::save_file(ctx.in<core::MappingOutput>().caam, path);
+                    *written = true;
+                })
+           .reads<core::MappingOutput>());
 }
 
 }  // namespace uhcg::flow

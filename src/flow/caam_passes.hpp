@@ -32,6 +32,15 @@ struct SourceModel {
     const uml::Model* model = nullptr;
 };
 
+/// The analyses of one model that every generation branch reads: its
+/// communication model and the §4.2.3 task graph mined from it.
+/// flow::generate builds them once, in flow.partition, and its units
+/// share them read-only.
+struct ModelAnalysis {
+    core::CommModel comm;
+    taskgraph::TaskGraph task_graph;
+};
+
 /// §4.1 well-formedness issues, kept for report assembly.
 struct WellformedReport {
     std::vector<uml::Issue> issues;
@@ -73,14 +82,26 @@ struct ArtifactTraits<core::DelayReport> {
 /// Runs the steps 2–3 pipeline for `model` on `pm`: registers the mapping
 /// passes, then whatever `extend` adds (compute_shared_caam's
 /// schedulability probe and cost estimate), and runs them against a fresh
-/// store, tracing under `group`. `report` receives the run's artifacts and
-/// its slice of `engine`. Returns the CAAM when every pass succeeded,
-/// nullopt otherwise (`engine` says why).
+/// store, tracing under `group`. With `analysis`, core.comm publishes its
+/// communication model and automatic allocation clusters its task graph
+/// instead of recomputing them. With `scratch`, the passes run against
+/// that store, so the intermediate artifacts (the generic CAAM above all)
+/// outlive the call and the caller decides when to pay for freeing them.
+/// `report` receives the run's artifacts and its slice of `engine`.
+/// Returns the CAAM when every pass succeeded, nullopt otherwise
+/// (`engine` says why).
 std::optional<simulink::Model> run_caam_pipeline(
     PassManager& pm, const uml::Model& model,
     const core::MapperOptions& options, diag::DiagnosticEngine& engine,
     core::MapperReport& report, FlowTrace* trace = nullptr,
     const std::string& group = {},
-    const std::function<void(PassManager&)>& extend = {});
+    const std::function<void(PassManager&)>& extend = {},
+    const ModelAnalysis* analysis = nullptr, ArtifactStore* scratch = nullptr);
+
+/// Registers "core.dump-ecore" on a pipeline `pm` (pass it as `extend`):
+/// right after core.mapping, before any later pass can fail, it writes
+/// the raw step-2 result, the generic CAAM, to `path` in E-core form and
+/// sets `*written`.
+void add_ecore_dump(PassManager& pm, std::string path, bool* written);
 
 }  // namespace uhcg::flow

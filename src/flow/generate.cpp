@@ -5,6 +5,7 @@
 #endif
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 
 #include "core/allocation.hpp"
@@ -114,14 +115,16 @@ GenerateResult generate(const uml::Model& model, const GenerateOptions& options_
                         "allocation (§4.2.3)");
     }
 
-    // Stage 1: the partitioner, run as a pass so it lands in the trace.
+    // Stage 1: the partitioner, run as a pass so it lands in the trace. It
+    // also builds the analyses every unit reads, once per generate.
     ArtifactStore store;
     store.put(SourceModel{&model});
+    std::optional<ModelAnalysis> analysis;
     PassManager pm("flow");
     pm.set_retry_policy(options.resilience.retry);
     pm.set_pass_budget(options.resilience.pass_budget);
     pm.add(Pass("flow.partition",
-                [](PassContext& ctx) {
+                [&analysis](PassContext& ctx) {
                     const uml::Model& m = *ctx.in<SourceModel>().model;
                     core::CommModel comm = core::analyze_communication(m);
                     PartitionReport& report = ctx.out(partition(m, comm));
@@ -131,6 +134,7 @@ GenerateResult generate(const uml::Model& model, const GenerateOptions& options_
                     taskgraph::TaskGraph graph = core::build_task_graph(m, comm);
                     ctx.count("taskgraph-tasks", graph.task_count());
                     ctx.count("taskgraph-edges", graph.edge_count());
+                    analysis.emplace(std::move(comm), std::move(graph));
                     ctx.count("subsystems", report.subsystems.size());
                     ctx.count("feedback-cycles", report.feedback_cycles);
                     for (const Subsystem& s : report.subsystems)
@@ -142,7 +146,7 @@ GenerateResult generate(const uml::Model& model, const GenerateOptions& options_
            .reads<SourceModel>()
            .writes<PartitionReport>());
     auto run = pm.run(store, engine, trace, "partition");
-    if (!run.ok || !store.has<PartitionReport>()) {
+    if (!run.ok || !store.has<PartitionReport>() || !analysis) {
         result.status = GenerateStatus::Failed;
         return result;
     }
@@ -170,6 +174,8 @@ GenerateResult generate(const uml::Model& model, const GenerateOptions& options_
     struct PrepState {
         const Subsystem* subsystem = nullptr;
         SharedCaam shared;
+        /// The prep's intermediate artifacts; freed beside the emitters.
+        ArtifactStore scratch;
         diag::DiagnosticEngine engine;
         FlowTrace trace;
     };
@@ -258,6 +264,7 @@ GenerateResult generate(const uml::Model& model, const GenerateOptions& options_
         context.kpn_firings = res.kpn_firings;
         context.sim_steps = res.sim_steps;
         context.sim_backend = options.sim_backend;
+        context.analysis = &*analysis;
         return context;
     };
 
@@ -286,8 +293,9 @@ GenerateResult generate(const uml::Model& model, const GenerateOptions& options_
 
     // Wave 1: every shared CAAM prep plus every live non-caam unit.
     // Wave 2: the caam-family emitters, which read the preps built in
-    // wave 1. The fault guard keeps worker exceptions inside their unit,
-    // so parallel_for's own rethrow path stays cold.
+    // wave 1, and the freeing of each prep's intermediates. The fault
+    // guard keeps worker exceptions inside their unit, so parallel_for's
+    // own rethrow path stays cold.
     std::vector<std::size_t> emitters;
     std::vector<std::size_t> independents;
     for (std::size_t i = 0; i < units.size(); ++i) {
@@ -301,13 +309,21 @@ GenerateResult generate(const uml::Model& model, const GenerateOptions& options_
                 PrepState& prep = preps[i];
                 StrategyContext context = make_context(*prep.subsystem);
                 prep.shared = compute_shared_caam(
-                    context, prep.engine, trace ? &prep.trace : nullptr);
+                    context, prep.engine, trace ? &prep.trace : nullptr,
+                    prep.scratch);
             } else {
                 run_unit(units[independents[i - preps.size()]]);
             }
         });
-    core::parallel_for(emitters.size(), jobs,
-                       [&](std::size_t i) { run_unit(units[emitters[i]]); });
+    // Freeing a prep's intermediates (its generic CAAM) takes about as
+    // long as an emitter, and nothing reads them any more: it runs as one
+    // more job of wave 2 instead of delaying the end of wave 1.
+    core::parallel_for(emitters.size() + preps.size(), jobs, [&](std::size_t i) {
+        if (i < emitters.size())
+            run_unit(units[emitters[i]]);
+        else
+            preps[i - emitters.size()].scratch = ArtifactStore();
+    });
 
     // Serial fold in canonical unit order: a subsystem's prep merges just
     // before its first live caam unit, then each unit's diagnostics,

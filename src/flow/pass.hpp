@@ -67,29 +67,35 @@ ArtifactKey artifact_key() {
 }
 
 /// Type-keyed artifact container. At most one artifact per type; re-putting
-/// replaces the previous value. Values are owned by the store.
+/// replaces the previous value. Values are owned by the store, except
+/// lent ones, which stay the lender's and are read-only here.
 class ArtifactStore {
 public:
     template <typename T>
     T& put(T value) {
-        ArtifactKey key = artifact_key<T>();
         auto holder = std::make_shared<T>(std::move(value));
         T* raw = holder.get();
-        auto it = entries_.find(key.type);
-        if (it == entries_.end()) {
-            entries_.emplace(key.type, Entry{std::move(holder), key.name});
-            order_.push_back(key.type);
-        } else {
-            it->second = Entry{std::move(holder), key.name};
-        }
+        insert<T>(Entry{std::move(holder), {}, false});
         return *raw;
+    }
+
+    /// Makes `value` the artifact of type T without copying it. The caller
+    /// keeps it alive for the store's lifetime; get() and require() on a
+    /// non-const store throw FlowError for it, so no pass mutates it.
+    template <typename T>
+    const T& lend(const T& value) {
+        insert<T>(Entry{std::shared_ptr<void>(const_cast<T*>(&value), [](void*) {}),
+                        {}, true});
+        return value;
     }
 
     template <typename T>
     T* get() {
         auto it = entries_.find(std::type_index(typeid(T)));
-        return it == entries_.end() ? nullptr
-                                    : static_cast<T*>(it->second.value.get());
+        if (it == entries_.end()) return nullptr;
+        if (it->second.lent)
+            throw FlowError("artifact '" + it->second.name + "' is lent read-only");
+        return static_cast<T*>(it->second.value.get());
     }
     template <typename T>
     const T* get() const {
@@ -124,7 +130,22 @@ private:
     struct Entry {
         std::shared_ptr<void> value;
         std::string name;
+        bool lent = false;
     };
+
+    template <typename T>
+    void insert(Entry entry) {
+        ArtifactKey key = artifact_key<T>();
+        entry.name = std::move(key.name);
+        auto it = entries_.find(key.type);
+        if (it == entries_.end()) {
+            entries_.emplace(key.type, std::move(entry));
+            order_.push_back(key.type);
+        } else {
+            it->second = std::move(entry);
+        }
+    }
+
     std::unordered_map<std::type_index, Entry> entries_;
     std::vector<std::type_index> order_;
 };
@@ -150,6 +171,11 @@ public:
     template <typename T>
     T& out(T value) {
         return store_->put(std::move(value));
+    }
+    /// Publishes a value the caller owns, read-only (ArtifactStore::lend).
+    template <typename T>
+    const T& lend(const T& value) {
+        return store_->lend(value);
     }
 
     /// Per-pass metric, surfaced in the trace (e.g. "channels", "rules").

@@ -116,18 +116,15 @@ void register_schedulability_probe(PassManager& pm, std::size_t sim_steps) {
 /// trace counters from `uhcg generate`, without failing the strategy: a
 /// model the cost model cannot price (no threads, detached subsystem) just
 /// counts `estimate-skipped`, and so does an unknown backend name.
-void register_estimate_pass(PassManager& pm, std::string backend) {
+void register_estimate_pass(PassManager& pm, std::string backend,
+                            const taskgraph::TaskGraph& graph) {
     pm.add(Pass("sim.estimate",
-                [backend = std::move(backend)](PassContext& ctx) {
+                [backend = std::move(backend), &graph](PassContext& ctx) {
                     try {
                         const uml::Model& model =
                             *ctx.in<SourceModel>().model;
-                        const core::CommModel& comm =
-                            ctx.in<core::CommModel>();
                         const core::Allocation& alloc =
                             ctx.in<core::Allocation>();
-                        taskgraph::TaskGraph graph =
-                            core::build_task_graph(model, comm);
                         auto threads = model.threads();
                         std::vector<int> assignment;
                         assignment.reserve(threads.size());
@@ -260,12 +257,13 @@ std::vector<GeneratedFile> fsm_files(ArtifactStore& store, const std::string&) {
 
 void add_threads_pass(PassManager& pm, const StrategyContext& context) {
     const std::size_t iterations = context.iterations;
+    const core::CommModel& comm = context.analysis->comm;
     pm.add(Pass("codegen.threads",
-                [iterations](PassContext& ctx) {
+                [iterations, &comm](PassContext& ctx) {
                     const uml::Model& model = *ctx.in<SourceModel>().model;
                     codegen::CppProgram& program =
                         ctx.out(codegen::generate_cpp_threads(
-                            model, iterations, ctx.diags()));
+                            model, comm, iterations, ctx.diags()));
                     ctx.count("threads", program.thread_count);
                     ctx.count("queues", program.queue_count);
                     ctx.count("bytes", program.source.size());
@@ -285,11 +283,12 @@ std::vector<GeneratedFile> threads_files(ArtifactStore& store,
 // --- kpn: §3 retargeting, emitted as a network summary -----------------------
 
 void add_kpn_passes(PassManager& pm, const StrategyContext& context) {
+    const core::CommModel& comm = context.analysis->comm;
     pm.add(Pass("kpn.map",
-                [](PassContext& ctx) {
+                [&comm](PassContext& ctx) {
                     const uml::Model& model = *ctx.in<SourceModel>().model;
                     kpn::KpnMappingOutput& out =
-                        ctx.out(kpn::map_to_kpn(model));
+                        ctx.out(kpn::map_to_kpn(model, comm));
                     ctx.count("processes", out.network.processes().size());
                     ctx.count("channels", out.network.channels().size());
                     ctx.count("initial-tokens", out.initial_tokens_inserted);
@@ -349,7 +348,7 @@ std::vector<GeneratedFile> kpn_files(ArtifactStore& store,
         for (const kpn::ChannelDecl& c : out->network.channels())
             w.line(c.producer->name() + " --" + c.variable + "--> " +
                    c.consumer->name() + (c.initial_tokens ? "  [seeded]" : ""));
-        files.push_back({base + "_kpn.txt", w.str()});
+        files.push_back({base + "_kpn.txt", w.take()});
     }
     return files;
 }
@@ -424,7 +423,7 @@ StrategyResult run_strategy(const Branch& branch,
 
 SharedCaam compute_shared_caam(const StrategyContext& context,
                                diag::DiagnosticEngine& engine,
-                               FlowTrace* trace) {
+                               FlowTrace* trace, ArtifactStore& scratch) {
     SharedCaam shared;
     PassManager pm = pass_manager("simulink-caam", context);
     auto caam = run_caam_pipeline(
@@ -432,8 +431,10 @@ SharedCaam compute_shared_caam(const StrategyContext& context,
         group_label("simulink-caam", *context.subsystem),
         [&context](PassManager& p) {
             register_schedulability_probe(p, context.sim_steps);
-            register_estimate_pass(p, context.sim_backend);
-        });
+            register_estimate_pass(p, context.sim_backend,
+                                   context.analysis->task_graph);
+        },
+        context.analysis, &scratch);
     obs::counter("flow.caam_shared_computed").add(1);
     if (caam) {
         shared.caam = std::move(*caam);

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "core/pipeline.hpp"
+#include "flow/caam_passes.hpp"
 #include "flow/partition.hpp"
 #include "flow/pass.hpp"
 #include "simulink/model.hpp"
@@ -71,16 +72,22 @@ struct StrategyContext {
     /// Shared mapping owned by the dispatcher: a required input of the
     /// caam-family rows, null for every other row.
     const SharedCaam* shared_caam = nullptr;
+    /// The model's analyses, built once per generate by flow.partition
+    /// and owned by the dispatcher: required by every row and by
+    /// compute_shared_caam().
+    const ModelAnalysis* analysis = nullptr;
 };
 
 /// Runs the steps 2–3 mapping pipeline (plus schedulability probe and
 /// cost estimate) once for `context.subsystem`, tracing under group
 /// "simulink-caam:<subsystem>" and bumping the process-wide
 /// `flow.caam_shared_computed` counter. Diagnostics land in `engine`;
-/// on failure the result has `ok == false` and the engine holds why.
+/// on failure the result has `ok == false` and the engine holds why. The
+/// pipeline's intermediate artifacts are left in `scratch` (see
+/// run_caam_pipeline); the result refers to none of them.
 SharedCaam compute_shared_caam(const StrategyContext& context,
                                diag::DiagnosticEngine& engine,
-                               FlowTrace* trace);
+                               FlowTrace* trace, ArtifactStore& scratch);
 
 struct GeneratedFile {
     std::string name;

@@ -9,13 +9,14 @@
 // network suffers a read-blocked startup deadlock, which kpn::Executor
 // detects and reports).
 //
-// Like the CAAM branch, the mapping is expressed as rules on the
-// transformation engine against the registered KPN meta-model.
+// Unlike the CAAM branch, which keeps the §4.1 rule-based model-to-model
+// transformation, the network is built straight from the communication
+// analysis: every process, port and channel is already a CommModel
+// entry, so an intermediate object model would only copy them.
 #pragma once
 
 #include "core/comm.hpp"
 #include "kpn/model.hpp"
-#include "transform/engine.hpp"
 #include "uml/model.hpp"
 
 namespace uhcg::kpn {
@@ -27,13 +28,14 @@ struct KpnMappingOptions {
 
 struct KpnMappingOutput {
     Network network;
-    transform::RunStats stats;
     std::size_t initial_tokens_inserted = 0;
     std::vector<std::string> warnings;
 };
 
 /// Maps `model` (must pass uml::check) to a KPN. The communication
-/// analysis is recomputed internally; use the overload to share one.
+/// analysis is recomputed internally; use the overload to share one. The
+/// overload walks each link, link-list entry, <<IO>> access and DFS edge
+/// once and adds that count to the `kpn.map.visits` counter.
 KpnMappingOutput map_to_kpn(const uml::Model& model,
                             const KpnMappingOptions& options = {});
 KpnMappingOutput map_to_kpn(const uml::Model& model, const core::CommModel& comm,

@@ -30,6 +30,7 @@ std::optional<std::size_t> Process::output_named(std::string_view var) const {
 Network& Network::operator=(Network&& other) noexcept {
     name_ = std::move(other.name_);
     processes_ = std::move(other.processes_);
+    by_name_ = std::move(other.by_name_);
     channels_ = std::move(other.channels_);
     inputs_ = std::move(other.inputs_);
     outputs_ = std::move(other.outputs_);
@@ -42,20 +43,19 @@ Process& Network::add_process(std::string name) {
         throw std::invalid_argument("duplicate process '" + name + "'");
     processes_.push_back(std::make_unique<Process>(std::move(name), this));
     Process& p = *processes_.back();
+    by_name_.emplace(p.name(), &p);
     if (p.kernel().empty()) p.set_kernel(p.name());
     return p;
 }
 
 Process* Network::find_process(std::string_view name) {
-    for (const auto& p : processes_)
-        if (p->name() == name) return p.get();
-    return nullptr;
+    auto it = by_name_.find(name);
+    return it == by_name_.end() ? nullptr : it->second;
 }
 
 const Process* Network::find_process(std::string_view name) const {
-    for (const auto& p : processes_)
-        if (p->name() == name) return p.get();
-    return nullptr;
+    auto it = by_name_.find(name);
+    return it == by_name_.end() ? nullptr : it->second;
 }
 
 std::vector<const Process*> Network::processes() const {

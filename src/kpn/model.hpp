@@ -18,6 +18,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace uhcg::kpn {
@@ -111,6 +112,8 @@ public:
 private:
     std::string name_;
     std::vector<std::unique_ptr<Process>> processes_;
+    /// Keyed by views into `Process::name_`, which never changes.
+    std::unordered_map<std::string_view, Process*> by_name_;
     std::vector<ChannelDecl> channels_;
     std::vector<NetworkPort> inputs_;
     std::vector<NetworkPort> outputs_;

@@ -1,126 +1,151 @@
+#include <charconv>
 #include <fstream>
-#include <sstream>
 
 #include "simulink/mdl.hpp"
 
 namespace uhcg::simulink {
 namespace {
 
-void indent(std::ostream& out, int depth) {
-    for (int i = 0; i < depth; ++i) out << "  ";
-}
+/// Appends the whole text into one buffer: no stream, no temporary string
+/// per value.
+class MdlWriter {
+public:
+    std::string take() { return std::move(out_); }
 
-std::string quoted(const std::string& s) {
-    std::string out = "\"";
-    for (char c : s) {
-        // Newlines are escaped so multi-line values (S-function C sources)
-        // survive the line-oriented mdl format.
-        if (c == '\n') {
-            out += "\\n";
-            continue;
+    void indent(int depth) { out_.append(static_cast<std::size_t>(depth) * 2, ' '); }
+
+    void text(std::string_view s) { out_ += s; }
+
+    void number(long long n) {
+        char buf[24];
+        out_.append(buf, std::to_chars(buf, buf + sizeof buf, n).ptr);
+    }
+
+    /// `s` in double quotes. Newlines are escaped so multi-line values
+    /// (S-function C sources) survive the line-oriented mdl format. The
+    /// runs between escapes are appended whole.
+    void quoted(std::string_view s) {
+        out_ += '"';
+        for (std::size_t at = s.find_first_of("\"\\\n"); at != std::string_view::npos;
+             at = s.find_first_of("\"\\\n")) {
+            out_ += s.substr(0, at);
+            out_ += '\\';
+            out_ += s[at] == '\n' ? 'n' : s[at];
+            s.remove_prefix(at + 1);
         }
-        if (c == '"' || c == '\\') out += '\\';
-        out += c;
+        out_ += s;
+        out_ += '"';
     }
-    out += '"';
-    return out;
-}
 
-void write_system(std::ostream& out, const System& system, int depth);
+    /// One `Key "value"` line at `depth`.
+    void quoted_line(int depth, std::string_view key, std::string_view value) {
+        indent(depth);
+        out_ += key;
+        out_ += ' ';
+        quoted(value);
+        out_ += '\n';
+    }
 
-void write_block(std::ostream& out, const Block& block, int depth) {
-    indent(out, depth);
-    out << "Block {\n";
-    indent(out, depth + 1);
-    out << "BlockType " << to_string(block.type()) << '\n';
-    indent(out, depth + 1);
-    out << "Name " << quoted(block.name()) << '\n';
-    indent(out, depth + 1);
-    out << "Ports [" << block.input_count() << ", " << block.output_count()
-        << "]\n";
-    if (block.role() != CaamRole::None) {
-        indent(out, depth + 1);
-        out << "Tag " << quoted(std::string(to_string(block.role()))) << '\n';
+    /// One `Key n` line at `depth`.
+    void number_line(int depth, std::string_view key, long long n) {
+        indent(depth);
+        out_ += key;
+        out_ += ' ';
+        number(n);
+        out_ += '\n';
     }
-    for (const auto& [key, value] : block.parameters()) {
-        indent(out, depth + 1);
-        out << key << ' ' << quoted(value) << '\n';
-    }
-    // Port names are serialized as PortName lines so the parser can
-    // restore S-function argument labels.
-    for (int p = 1; p <= block.input_count(); ++p) {
-        std::string n = block.input_name(p);
-        if (n.empty()) continue;
-        indent(out, depth + 1);
-        out << "InPortName [" << p << "] " << quoted(n) << '\n';
-    }
-    for (int p = 1; p <= block.output_count(); ++p) {
-        std::string n = block.output_name(p);
-        if (n.empty()) continue;
-        indent(out, depth + 1);
-        out << "OutPortName [" << p << "] " << quoted(n) << '\n';
-    }
-    if (block.system()) write_system(out, *block.system(), depth + 1);
-    indent(out, depth);
-    out << "}\n";
-}
 
-void write_line(std::ostream& out, const Line& line, int depth) {
-    indent(out, depth);
-    out << "Line {\n";
-    if (!line.name().empty()) {
-        indent(out, depth + 1);
-        out << "Name " << quoted(line.name()) << '\n';
-    }
-    indent(out, depth + 1);
-    out << "SrcBlock " << quoted(line.source().block->name()) << '\n';
-    indent(out, depth + 1);
-    out << "SrcPort " << line.source().port << '\n';
-    if (line.destinations().size() == 1) {
-        const PortRef& dst = line.destinations().front();
-        indent(out, depth + 1);
-        out << "DstBlock " << quoted(dst.block->name()) << '\n';
-        indent(out, depth + 1);
-        out << "DstPort " << dst.port << '\n';
-    } else {
-        for (const PortRef& dst : line.destinations()) {
-            indent(out, depth + 1);
-            out << "Branch {\n";
-            indent(out, depth + 2);
-            out << "DstBlock " << quoted(dst.block->name()) << '\n';
-            indent(out, depth + 2);
-            out << "DstPort " << dst.port << '\n';
-            indent(out, depth + 1);
-            out << "}\n";
+    void port_names(const Block& block, bool inputs, int depth) {
+        const int count = inputs ? block.input_count() : block.output_count();
+        for (int p = 1; p <= count; ++p) {
+            const std::string& n = inputs ? block.input_name(p) : block.output_name(p);
+            if (n.empty()) continue;
+            indent(depth);
+            out_ += inputs ? "InPortName [" : "OutPortName [";
+            number(p);
+            out_ += "] ";
+            quoted(n);
+            out_ += '\n';
         }
     }
-    indent(out, depth);
-    out << "}\n";
-}
 
-void write_system(std::ostream& out, const System& system, int depth) {
-    indent(out, depth);
-    out << "System {\n";
-    indent(out, depth + 1);
-    out << "Name " << quoted(system.name()) << '\n';
-    for (const Block* b : system.block_view()) write_block(out, *b, depth + 1);
-    for (const Line* l : system.lines()) write_line(out, *l, depth + 1);
-    indent(out, depth);
-    out << "}\n";
-}
+    void block(const Block& block, int depth) {
+        indent(depth);
+        out_ += "Block {\n";
+        indent(depth + 1);
+        out_ += "BlockType ";
+        out_ += to_string(block.type());
+        out_ += '\n';
+        quoted_line(depth + 1, "Name", block.name());
+        indent(depth + 1);
+        out_ += "Ports [";
+        number(block.input_count());
+        out_ += ", ";
+        number(block.output_count());
+        out_ += "]\n";
+        if (block.role() != CaamRole::None)
+            quoted_line(depth + 1, "Tag", to_string(block.role()));
+        for (const auto& [key, value] : block.parameters())
+            quoted_line(depth + 1, key, value);
+        // Port names are serialized as PortName lines so the parser can
+        // restore S-function argument labels.
+        port_names(block, true, depth + 1);
+        port_names(block, false, depth + 1);
+        if (block.system()) system(*block.system(), depth + 1);
+        indent(depth);
+        out_ += "}\n";
+    }
+
+    void line(const Line& line, int depth) {
+        indent(depth);
+        out_ += "Line {\n";
+        if (!line.name().empty()) quoted_line(depth + 1, "Name", line.name());
+        quoted_line(depth + 1, "SrcBlock", line.source().block->name());
+        number_line(depth + 1, "SrcPort", line.source().port);
+        if (line.destinations().size() == 1) {
+            const PortRef& dst = line.destinations().front();
+            quoted_line(depth + 1, "DstBlock", dst.block->name());
+            number_line(depth + 1, "DstPort", dst.port);
+        } else {
+            for (const PortRef& dst : line.destinations()) {
+                indent(depth + 1);
+                out_ += "Branch {\n";
+                quoted_line(depth + 2, "DstBlock", dst.block->name());
+                number_line(depth + 2, "DstPort", dst.port);
+                indent(depth + 1);
+                out_ += "}\n";
+            }
+        }
+        indent(depth);
+        out_ += "}\n";
+    }
+
+    void system(const System& system, int depth) {
+        indent(depth);
+        out_ += "System {\n";
+        quoted_line(depth + 1, "Name", system.name());
+        for (const Block* b : system.block_view()) block(*b, depth + 1);
+        for (const Line* l : system.line_view()) line(*l, depth + 1);
+        indent(depth);
+        out_ += "}\n";
+    }
+
+private:
+    std::string out_;
+};
 
 }  // namespace
 
 std::string write_mdl(const Model& model) {
-    std::ostringstream out;
-    out << "Model {\n";
-    out << "  Name " << quoted(model.name()) << '\n';
-    out << "  Solver " << quoted(model.solver) << '\n';
-    out << "  StopTime " << quoted(std::to_string(model.stop_time)) << '\n';
-    out << "  FixedStep " << quoted(std::to_string(model.fixed_step)) << '\n';
-    write_system(out, model.root(), 1);
-    out << "}\n";
-    return out.str();
+    MdlWriter w;
+    w.text("Model {\n");
+    w.quoted_line(1, "Name", model.name());
+    w.quoted_line(1, "Solver", model.solver);
+    w.quoted_line(1, "StopTime", std::to_string(model.stop_time));
+    w.quoted_line(1, "FixedStep", std::to_string(model.fixed_step));
+    w.system(model.root(), 1);
+    w.text("}\n");
+    return w.take();
 }
 
 void save_mdl(const Model& model, const std::string& path) {

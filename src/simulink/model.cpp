@@ -129,10 +129,11 @@ void name_port(std::unique_ptr<PortNames>& names, int port, std::string name) {
     for (const auto& [p, n] : names->by_port) names->by_name.emplace(n, p);
 }
 
-std::string name_of(const std::unique_ptr<PortNames>& names, int port) {
-    if (!names) return {};
+const std::string& name_of(const std::unique_ptr<PortNames>& names, int port) {
+    static const std::string unnamed;
+    if (!names) return unnamed;
     auto it = names->by_port.find(port);
-    return it == names->by_port.end() ? std::string() : it->second;
+    return it == names->by_port.end() ? unnamed : it->second;
 }
 
 int port_named(const std::unique_ptr<PortNames>& names, std::string_view name) {
@@ -157,11 +158,11 @@ void Block::set_output_name(int port, std::string name) {
     name_port(output_names_, port, std::move(name));
 }
 
-std::string Block::input_name(int port) const {
+const std::string& Block::input_name(int port) const {
     return name_of(input_names_, port);
 }
 
-std::string Block::output_name(int port) const {
+const std::string& Block::output_name(int port) const {
     return name_of(output_names_, port);
 }
 
@@ -219,10 +220,9 @@ const Block* System::find_block(std::string_view name) const {
 }
 
 std::string System::unique_name(const std::string& hint) {
-    if (!find_block(hint)) return hint;
-    int& i = next_suffix_.try_emplace(hint, 1).first->second;
-    while (find_block(hint + "_" + std::to_string(i))) ++i;
-    return hint + "_" + std::to_string(i);
+    return first_free_name(
+        hint, [this](std::string_view name) { return find_block(name) != nullptr; },
+        next_suffix_);
 }
 
 std::vector<Block*> System::blocks() {

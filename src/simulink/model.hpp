@@ -109,8 +109,8 @@ public:
     /// port is unnamed.
     void set_input_name(int port, std::string name);
     void set_output_name(int port, std::string name);
-    std::string input_name(int port) const;
-    std::string output_name(int port) const;
+    const std::string& input_name(int port) const;
+    const std::string& output_name(int port) const;
     /// 1-based index of the input/output with this name, or 0.
     int input_named(std::string_view name) const;
     int output_named(std::string_view name) const;
@@ -211,6 +211,13 @@ public:
     const Line* line_into(const PortRef& dst) const;
     std::vector<Line*> lines();
     std::vector<const Line*> lines() const;
+    /// The same lines without a copy; like block_view(), invalidated by
+    /// any line edit.
+    auto line_view() const {
+        return lines_ | std::views::transform([](const std::unique_ptr<Line>& l) {
+                   return static_cast<const Line*>(l.get());
+               });
+    }
     void remove_line(Line& line);
     /// Detaches `dst` from the line feeding it, removing the line once no
     /// destination is left. Returns that line's source and signal name;
@@ -242,6 +249,19 @@ private:
     /// is taken until a block is removed, which clears the memo.
     std::unordered_map<std::string, int> next_suffix_;
 };
+
+/// The naming rule behind System::unique_name, for any set of names:
+/// `hint` when `taken(hint)` is false, else the first free `hint_<i>`
+/// (i = 1, 2, ...). `next_suffix` remembers per hint where probing
+/// stopped; every lower suffix must stay taken.
+template <class Taken>
+std::string first_free_name(const std::string& hint, Taken&& taken,
+                            std::unordered_map<std::string, int>& next_suffix) {
+    if (!taken(hint)) return hint;
+    int& i = next_suffix.try_emplace(hint, 1).first->second;
+    while (taken(hint + "_" + std::to_string(i))) ++i;
+    return hint + "_" + std::to_string(i);
+}
 
 /// "Sub/.../Block" path from the model root (the root system's name is
 /// left out).

@@ -7,8 +7,9 @@ namespace uhcg::transform {
 
 CodeWriter& CodeWriter::line(std::string_view text) {
     if (!text.empty())
-        for (int i = 0; i < depth_ * indent_width_; ++i) out_.put(' ');
-    out_ << text << '\n';
+        out_.append(static_cast<std::size_t>(depth_ * indent_width_), ' ');
+    out_ += text;
+    out_ += '\n';
     return *this;
 }
 
@@ -25,7 +26,7 @@ CodeWriter& CodeWriter::close(std::string_view text) {
 }
 
 CodeWriter& CodeWriter::raw(std::string_view text) {
-    out_ << text;
+    out_ += text;
     return *this;
 }
 

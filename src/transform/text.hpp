@@ -6,7 +6,6 @@
 #pragma once
 
 #include <map>
-#include <sstream>
 #include <string>
 #include <string_view>
 
@@ -30,10 +29,12 @@ public:
     void indent() { ++depth_; }
     void dedent();
 
-    std::string str() const { return out_.str(); }
+    const std::string& str() const { return out_; }
+    /// Moves the text out, leaving the writer empty.
+    std::string take() { return std::move(out_); }
 
 private:
-    std::ostringstream out_;
+    std::string out_;
     int indent_width_;
     int depth_ = 0;
 };

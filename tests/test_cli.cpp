@@ -99,6 +99,23 @@ TEST_F(CliTest, MapDumpsIntermediateEcore) {
     EXPECT_NE(text.find("SimulinkCAAM"), std::string::npos);
 }
 
+TEST_F(CliTest, MapDumpEcoreFailsLikeMapWhenTheMappingCannotRun) {
+    // The dump is written from the pipeline's own mapping, so a model it
+    // cannot allocate (no deployment diagram; a cyclic task graph under
+    // --auto-allocate) fails with a structured map.internal diagnostic,
+    // as without --dump-ecore, and no E-core file appears.
+    for (const std::string args :
+         {"synthetic.xmi", "crane.xmi --auto-allocate", "mixed.xmi --auto-allocate"}) {
+        std::string out;
+        EXPECT_EQ(run_code("map " + args + " --dump-ecore step2.xml", &out), 1)
+            << args << "\n" << out;
+        EXPECT_NE(out.find("[map.internal]"), std::string::npos) << args;
+        EXPECT_EQ(out.find("internal error"), std::string::npos) << args;
+        EXPECT_FALSE(fs::exists(dir / "step2.xml")) << args;
+        EXPECT_EQ(run_code("map " + args), 1) << args;
+    }
+}
+
 TEST_F(CliTest, CodegenEmitsProgramDirectory) {
     ASSERT_EQ(run("codegen synthetic.xmi --auto-allocate -o syn_c"), 0);
     EXPECT_TRUE(fs::exists(dir / "syn_c" / "main.c"));

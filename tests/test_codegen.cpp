@@ -2,10 +2,16 @@
 // multithreaded C++ (the two software branches of Fig. 1).
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+
 #include "cases/cases.hpp"
 #include "codegen/caam_to_c.hpp"
 #include "codegen/uml_to_cpp.hpp"
 #include "core/pipeline.hpp"
+#include "flow/generate.hpp"
+#include "uml/xmi.hpp"
 
 namespace {
 
@@ -150,5 +156,70 @@ TEST(UmlToCpp, GetMessagesPopMatchingQueue) {
     EXPECT_NE(program.source.find("double v = q_T3_T1_v.poll();"),
               std::string::npos);
 }
+
+// --- identifiers of names that sanitize alike ---------------------------------------
+
+/// Occurrences of `needle` in `text`.
+std::size_t count_of(const std::string& text, const std::string& needle) {
+    std::size_t n = 0;
+    for (std::size_t at = text.find(needle); at != std::string::npos;
+         at = text.find(needle, at + 1))
+        ++n;
+    return n;
+}
+
+// Threads A, C.D and C_D, with A sending x to both: "C.D" and "C_D"
+// sanitize to one C name. The one-CPU variant deploys both on CPU2.
+class CollidingThreadNames : public ::testing::TestWithParam<const char*> {
+protected:
+    uml::Model model = uml::load_xmi(std::string(UHCG_TEST_DATA_DIR) +
+                                     "/collision/" + GetParam() + ".xmi");
+};
+
+TEST_P(CollidingThreadNames, EveryThreadAndLinkGetsItsOwnIdentifier) {
+    diag::DiagnosticEngine engine;
+    CppProgram program = generate_cpp_threads(model, 10, engine);
+    EXPECT_EQ(engine.warning_count(), 0u) << engine.render_text();
+    EXPECT_EQ(program.thread_count, 3u);
+    EXPECT_EQ(program.queue_count, 2u);
+    const std::string& src = program.source;
+    EXPECT_EQ(count_of(src, "rt::Queue q_A_C_D_x;"), 1u);
+    EXPECT_EQ(count_of(src, "rt::Queue q_A_C_D_x_1;"), 1u);
+    EXPECT_EQ(count_of(src, "q_A_C_D_x.push(x);"), 1u);
+    EXPECT_EQ(count_of(src, "q_A_C_D_x_1.push(x);"), 1u);
+    EXPECT_EQ(count_of(src, "double x = q_A_C_D_x.poll();"), 1u);
+    EXPECT_EQ(count_of(src, "double x = q_A_C_D_x_1.poll();"), 1u);
+    EXPECT_EQ(count_of(src, "void run_C_D() {"), 1u);
+    EXPECT_EQ(count_of(src, "void run_C_D_1() {"), 1u);
+    EXPECT_EQ(count_of(src, "workers.emplace_back(run_C_D_1);"), 1u);
+    // Only A's sensor read touches the environment.
+    EXPECT_EQ(count_of(src, "rt::env_read(\"x\")"), 1u);
+
+    if (std::system("command -v g++ > /dev/null 2>&1") != 0)
+        GTEST_SKIP() << "no C++ compiler on PATH";
+    const std::filesystem::path file =
+        std::filesystem::path(testing::TempDir()) / program.file_name;
+    std::ofstream(file) << src;
+    EXPECT_EQ(std::system(("g++ -std=c++17 -fsyntax-only '" + file.string() + "'")
+                              .c_str()),
+              0);
+}
+
+TEST_P(CollidingThreadNames, GenerateShipsTheSameProgramWithoutWarnings) {
+    diag::DiagnosticEngine engine;
+    flow::GenerateResult result = flow::generate(model, {}, engine);
+    ASSERT_EQ(result.status, flow::GenerateStatus::Ok) << engine.render_text();
+    EXPECT_EQ(engine.count_code(diag::codes::kCodegenThreads), 0u)
+        << engine.render_text();
+    const std::string* shipped = nullptr;
+    for (const flow::StrategyResult& r : result.results)
+        if (r.strategy == "cpp-threads") shipped = &r.files.at(0).contents;
+    ASSERT_NE(shipped, nullptr);
+    EXPECT_EQ(*shipped, generate_cpp_threads(model, 100).source);
+}
+
+INSTANTIATE_TEST_SUITE_P(Models, CollidingThreadNames,
+                         ::testing::Values("threads_collision",
+                                           "threads_collision_one_cpu"));
 
 }  // namespace

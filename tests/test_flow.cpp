@@ -86,6 +86,19 @@ TEST(ArtifactStore, RequireMissingThrowsFlowError) {
     }
 }
 
+TEST(ArtifactStore, LentArtifactsAreSharedReadOnly) {
+    const Alpha owned{7};
+    flow::ArtifactStore store;
+    const Alpha& lent = store.lend(owned);
+    EXPECT_EQ(&lent, &owned);
+    const flow::ArtifactStore& view = store;
+    EXPECT_EQ(&view.require<Alpha>(), &owned);  // no copy
+    EXPECT_THROW(store.require<Alpha>(), flow::FlowError);
+    store.put(Alpha{8});  // an owned value replaces the loan
+    EXPECT_EQ(store.require<Alpha>().value, 8);
+    EXPECT_EQ(owned.value, 7);
+}
+
 TEST(ArtifactStore, NamesUseArtifactTraits) {
     flow::ArtifactStore store;
     store.put(Alpha{1});
@@ -883,6 +896,88 @@ TEST(Generate, MappingAndScheduleWorkGrowLinearlyWithChannels) {
         const Work parallel = measure(threads, 4);
         EXPECT_EQ(parallel.objects, serial.objects) << threads;
         EXPECT_EQ(parallel.visits, serial.visits) << threads;
+    }
+}
+
+// The fallback and KPN branches are linear too: between the same 60- and
+// 120-thread synth models, `codegen.threads.visits` (messages, links and
+// channel probes the cpp-threads emitter touches) and `kpn.map.visits`
+// (links, link-list entries, IO accesses and DFS edges of the KPN
+// mapping) grow with a log-log slope of at most 1.25. Both are exact.
+TEST(Generate, ThreadsAndKpnWorkGrowLinearlyWithChannels) {
+    struct Work {
+        double links, threads, kpn;
+    };
+    auto measure = [](std::size_t threads, std::size_t gen_jobs) {
+        campaign::CorpusOptions synth;
+        synth.models = 1;
+        synth.seed = 7;
+        synth.min_threads = threads;
+        synth.max_threads = threads;
+        uml::Model model = campaign::synth_model(synth, 0);
+        obs::Counter& emit = obs::counter("codegen.threads.visits");
+        obs::Counter& kpn = obs::counter("kpn.map.visits");
+        const std::uint64_t emit_before = emit.value();
+        const std::uint64_t kpn_before = kpn.value();
+        flow::GenerateOptions options;
+        options.with_kpn = true;
+        options.gen_jobs = gen_jobs;
+        diag::DiagnosticEngine engine;
+        flow::GenerateResult result = flow::generate(model, options, engine);
+        EXPECT_EQ(result.status, flow::GenerateStatus::Ok) << threads;
+        return Work{static_cast<double>(core::analyze_communication(model).links().size()),
+                    static_cast<double>(emit.value() - emit_before),
+                    static_cast<double>(kpn.value() - kpn_before)};
+    };
+    const Work small = measure(60, 1);
+    const Work large = measure(120, 1);
+    ASSERT_GT(small.threads, 0);
+    ASSERT_GT(small.kpn, 0);
+    const double growth = std::log(large.links / small.links);
+    ASSERT_GT(growth, 1.0);
+    EXPECT_LE(std::log(large.threads / small.threads) / growth, 1.25)
+        << "codegen.threads.visits " << small.threads << " -> " << large.threads;
+    EXPECT_LE(std::log(large.kpn / small.kpn) / growth, 1.25)
+        << "kpn.map.visits " << small.kpn << " -> " << large.kpn;
+    for (std::size_t threads : {60, 120}) {
+        const Work& serial = threads == 60 ? small : large;
+        const Work parallel = measure(threads, 4);
+        EXPECT_EQ(parallel.threads, serial.threads) << threads;
+        EXPECT_EQ(parallel.kpn, serial.kpn) << threads;
+    }
+}
+
+// flow.partition analyses the model once and every unit shares that
+// analysis: one `generate --with-kpn` records one core.comm-analyze span
+// and builds one task graph, serial or parallel, with the automatic
+// allocation and the cost estimate both running.
+TEST(Generate, OneCommunicationAnalysisAndTaskGraphPerGenerate) {
+    uml::Model model = cases::synthetic_model();  // no deployment diagram
+    obs::Counter& graphs = obs::counter("taskgraph.graphs_built");
+    for (std::size_t jobs : {1, 4}) {
+        flow::GenerateOptions options;
+        options.with_kpn = true;
+        options.gen_jobs = jobs;
+        diag::DiagnosticEngine engine;
+        obs::reset_spans();
+        obs::set_enabled(true);
+        const std::uint64_t graphs_before = graphs.value();
+        flow::GenerateResult result = flow::generate(model, options, engine);
+        const std::uint64_t built = graphs.value() - graphs_before;
+        obs::set_enabled(false);
+        std::vector<obs::SpanRecord> spans = obs::spans_snapshot();
+        obs::reset_spans();
+        EXPECT_EQ(result.status, flow::GenerateStatus::Ok) << jobs;
+        std::size_t analyses = 0, estimates = 0, allocations = 0;
+        for (const obs::SpanRecord& s : spans) {
+            analyses += s.name == "core.comm-analyze";
+            estimates += s.name == "sim.estimate";
+            allocations += s.name == "core.allocate-auto";
+        }
+        EXPECT_EQ(analyses, 1u) << jobs;
+        EXPECT_EQ(built, 1u) << jobs;
+        EXPECT_EQ(allocations, 1u) << jobs;
+        EXPECT_EQ(estimates, 1u) << jobs;
     }
 }
 

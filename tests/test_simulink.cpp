@@ -8,7 +8,10 @@
 #include <string>
 #include <vector>
 
+#include "campaign/corpus.hpp"
+#include "cases/cases.hpp"
 #include "core/delays.hpp"
+#include "core/pipeline.hpp"
 #include "simulink/caam.hpp"
 #include "simulink/dot.hpp"
 #include "simulink/generic.hpp"
@@ -689,6 +692,114 @@ TEST(SimulinkDot, NestedClustersAndLabels) {
     EXPECT_NE(dot.find("label=\"T1 <Thread-SS>\""), std::string::npos);
     EXPECT_NE(dot.find("[S-Function]"), std::string::npos);
     EXPECT_NE(dot.find("label=\"x\""), std::string::npos);  // signal name
+}
+
+// --- the one-buffer writers ---------------------------------------------------------
+
+TEST(Mdl, WriteParseWriteIsAFixedPointOnGeneratedCaams) {
+    // The four case studies, plus corpus-002 of `uhcg synth-corpus big
+    // --corpus-models 3 --min-threads 200 --max-threads 400 --seed 7`.
+    uhcg::campaign::CorpusOptions big;
+    big.models = 3;
+    big.seed = 7;
+    big.min_threads = 200;
+    big.max_threads = 400;
+    std::vector<uhcg::uml::Model> models;
+    models.push_back(uhcg::cases::didactic_model());
+    models.push_back(uhcg::cases::crane_model());
+    models.push_back(uhcg::cases::synthetic_model());
+    models.push_back(uhcg::cases::mixed_model());
+    models.push_back(uhcg::campaign::synth_model(big, 2));
+    for (const uhcg::uml::Model& model : models) {
+        uhcg::core::MapperOptions options;
+        options.auto_allocate = model.deployment_or_null() == nullptr;
+        const Model caam = uhcg::core::map_to_caam(model, options);
+        const std::string text = write_mdl(caam);
+        EXPECT_EQ(write_mdl(parse_mdl(text)), text) << model.name();
+    }
+}
+
+TEST(Mdl, QuotesBackslashesAndNewlinesRoundTripExactly) {
+    const std::string name = "say \"hi\" \\ then\nwrap";
+    const std::string value = "a \"b\" \\c\n\\nd";
+    Model m("q\"uote");
+    Block& b = m.root().add_block(name, BlockType::Constant);
+    b.set_parameter("Value", value);
+    const std::string text = write_mdl(m);
+    EXPECT_NE(text.find("Name \"say \\\"hi\\\" \\\\ then\\nwrap\"\n"),
+              std::string::npos)
+        << text;
+    Model back = parse_mdl(text);
+    EXPECT_EQ(back.name(), "q\"uote");
+    const Block* rb = back.root().find_block(name);
+    ASSERT_NE(rb, nullptr) << text;
+    ASSERT_NE(rb->find_parameter("Value"), nullptr);
+    EXPECT_EQ(*rb->find_parameter("Value"), value);
+    EXPECT_EQ(write_mdl(back), text);
+}
+
+/// A nested empty subsystem as the first block of a subsystem, a branch
+/// and a line from one subsystem to another: every edge-anchor path.
+Model dot_probe_model() {
+    Model m("probe");
+    System& root = m.root();
+    Block& cpu = root.add_subsystem("CPU1", CaamRole::CpuSubsystem);
+    cpu.set_ports(0, 1);
+    System& cs = *cpu.system();
+    Block& gain = cs.add_block("gain", BlockType::Gain);
+    gain.set_ports(1, 1);
+    Block& delay = cs.add_block("z", BlockType::UnitDelay);
+    delay.set_ports(1, 1);
+    Block& y = cs.add_block("y", BlockType::Outport);
+    cs.add_line({&delay, 1}, {&gain, 1}, "u");
+    cs.add_line({&gain, 1}, {&y, 1}, "y");
+    cs.add_line({&gain, 1}, {&delay, 1});
+    Block& sink = root.add_subsystem("Sink");
+    sink.set_ports(2, 0);
+    System& ss = *sink.system();
+    ss.add_subsystem("Empty");
+    ss.add_block("x", BlockType::Inport);
+    Block& chan = root.add_block("chan", BlockType::CommChannel);
+    chan.set_ports(1, 1);
+    root.add_line({&cpu, 1}, {&chan, 1}, "y");
+    root.add_line({&cpu, 1}, {&sink, 2});
+    root.add_line({&chan, 1}, {&sink, 1}, "y2");
+    return m;
+}
+
+TEST(SimulinkDot, AnchorsAndIdsMatchThePinnedText) {
+    // Node ids are dense in first-use order; an edge to a subsystem
+    // anchors on its first inner block, recursively, and an empty
+    // subsystem anchors on itself.
+    EXPECT_EQ(to_dot(dot_probe_model()),
+              "digraph \"probe\" {\n"
+              "  rankdir=LR;\n"
+              "  compound=true;\n"
+              "  node [fontsize=10];\n"
+              "  subgraph cluster_n0 {\n"
+              "    label=\"CPU1 <CPU-SS>\";\n"
+              "    style=rounded;\n"
+              "    n1 [shape=box label=\"gain\\n[Gain]\"];\n"
+              "    n2 [shape=square label=\"z\\n[UnitDelay]\"];\n"
+              "    n3 [shape=larrow label=\"y\"];\n"
+              "    n2 -> n1 [label=\"u\"];\n"
+              "    n1 -> n3 [label=\"y\"];\n"
+              "    n1 -> n2 [label=\"y\"];\n"
+              "  }\n"
+              "  subgraph cluster_n4 {\n"
+              "    label=\"Sink\";\n"
+              "    style=rounded;\n"
+              "    subgraph cluster_n5 {\n"
+              "      label=\"Empty\";\n"
+              "      style=rounded;\n"
+              "    }\n"
+              "    n6 [shape=rarrow label=\"x\"];\n"
+              "  }\n"
+              "  n7 [shape=cds label=\"chan\\n[CommChannel]\"];\n"
+              "  n1 -> n7 [label=\"y\"];\n"
+              "  n1 -> n5 [label=\"y\"];\n"
+              "  n7 -> n5 [label=\"y2\"];\n"
+              "}\n");
 }
 
 }  // namespace

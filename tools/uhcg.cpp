@@ -149,6 +149,7 @@
 #include "diag/diag.hpp"
 #include "diag/mutate.hpp"
 #include "dse/explore.hpp"
+#include "flow/caam_passes.hpp"
 #include "flow/checkpoint.hpp"
 #include "flow/fault.hpp"
 #include "flow/generate.hpp"
@@ -156,7 +157,6 @@
 #include "kpn/execute.hpp"
 #include "kpn/from_uml.hpp"
 #include "sim/engine.hpp"
-#include "model/ecore_io.hpp"
 #include "obs/obs.hpp"
 #include "serve/server.hpp"
 #include "simulink/caam.hpp"
@@ -477,19 +477,18 @@ int cmd_check(const uml::Model& model, diag::DiagnosticEngine& engine) {
 int cmd_map(const uml::Model& model, const Cli& cli,
             diag::DiagnosticEngine& engine) {
     core::MapperReport report;
-    if (!cli.dump_ecore.empty()) {
-        // Expose the Fig. 2 step-3 input: the raw m2m result in E-core form.
-        core::CommModel comm = core::analyze_communication(model);
-        core::Allocation alloc =
-            cli.mapper.auto_allocate
-                ? core::auto_allocate(model, comm, cli.mapper.max_processors)
-                : core::allocation_from_deployment(model);
-        core::MappingOutput mapped = core::run_mapping(model, comm, alloc);
-        model::save_file(mapped.caam, cli.dump_ecore);
+    // --dump-ecore exposes the Fig. 2 step-3 input: the raw m2m result in
+    // E-core form, written by the pipeline right after core.mapping.
+    bool dumped = false;
+    flow::PassManager pm("core.pipeline");
+    auto caam = flow::run_caam_pipeline(
+        pm, model, cli.mapper, engine, report, nullptr, {},
+        [&](flow::PassManager& p) {
+            if (!cli.dump_ecore.empty()) flow::add_ecore_dump(p, cli.dump_ecore, &dumped);
+        });
+    if (dumped)
         std::cout << "wrote intermediate E-core model: " << cli.dump_ecore
                   << '\n';
-    }
-    auto caam = core::map_to_caam(model, cli.mapper, engine, &report);
     if (!caam) return kExitDiagnostics;
     // Schedulability probe: a CAAM with a combinational cycle (e.g. mapped
     // with --no-delays) would deadlock any dataflow implementation. Print
