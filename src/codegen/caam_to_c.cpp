@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "codegen/identifiers.hpp"
 #include "simulink/caam.hpp"
 #include "transform/text.hpp"
 
@@ -43,6 +44,10 @@ public:
     explicit Generator(const simulink::Model& model) : model_(&model) {}
 
     GeneratedProgram run() {
+        // CPU step names are claimed first, so a model without colliding
+        // names keeps every name unsuffixed.
+        for (const Block* cpu : simulink::cpu_subsystems(*model_))
+            cpu_fn_[cpu] = symbols_.make(sanitize_identifier(cpu->name()) + "_step");
         collect_channels();
         collect_threads();
         GeneratedProgram out;
@@ -135,8 +140,9 @@ private:
             for (Block* tss : simulink::thread_subsystems(*cpu)) {
                 ThreadCode tc;
                 tc.tss = tss;
-                tc.fn_name = sanitize_identifier(cpu->name()) + "_" +
-                             sanitize_identifier(tss->name()) + "_step";
+                tc.fn_name = symbols_.make(sanitize_identifier(cpu->name()) +
+                                           "_" + sanitize_identifier(tss->name()) +
+                                           "_step");
                 for (int p = 1; p <= tss->input_count(); ++p)
                     tc.input_sources[p] =
                         resolve_source(*cpu->system(),
@@ -469,7 +475,7 @@ private:
             if (tc.tss->parent()->owner_block() != &cpu) continue;
             emit_thread(w, tc);
         }
-        w.line("void " + sanitize_identifier(cpu.name()) + "_step(void)");
+        w.line("void " + cpu_fn_.at(&cpu) + "(void)");
         w.open("{");
         for (const ThreadCode& tc : threads_)
             if (tc.tss->parent()->owner_block() == &cpu)
@@ -504,7 +510,7 @@ private:
         w.close();
         w.blank();
         for (const Block* cpu : simulink::cpu_subsystems(*model_))
-            w.line("void " + sanitize_identifier(cpu->name()) + "_step(void);");
+            w.line("void " + cpu_fn_.at(cpu) + "(void);");
         w.blank();
         auto steps = static_cast<long>(model_->stop_time / model_->fixed_step);
         w.line("int main(void)");
@@ -512,7 +518,7 @@ private:
         w.open("for (long k = 0; k < " + std::to_string(std::max(1L, steps)) +
                "; ++k) {");
         for (const Block* cpu : simulink::cpu_subsystems(*model_))
-            w.line(sanitize_identifier(cpu->name()) + "_step();");
+            w.line(cpu_fn_.at(cpu) + "();");
         // Latch every boundary temporal barrier after the sweep.
         for (std::size_t i = 0; i < delays_.size(); ++i) {
             const Block* d = delays_[i];
@@ -552,6 +558,9 @@ private:
     std::map<const Block*, std::size_t> delay_index_;
     std::set<const Block*> delay_fed_by_thread_;
     std::vector<ThreadCode> threads_;
+    /// The program's global step functions: one per CPU, one per thread.
+    IdentifierTable symbols_;
+    std::map<const Block*, std::string> cpu_fn_;
 };
 
 }  // namespace

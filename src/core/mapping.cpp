@@ -1,12 +1,12 @@
 #include "core/mapping.hpp"
 
-#include <cctype>
 #include <map>
 #include <set>
 #include <stdexcept>
 
 #include "simulink/generic.hpp"
 #include "simulink/library.hpp"
+#include "transform/text.hpp"
 #include "uml/generic.hpp"
 
 namespace uhcg::core {
@@ -14,22 +14,6 @@ namespace {
 
 using model::Object;
 using model::ObjectModel;
-
-bool is_numeric_literal(const std::string& s) {
-    if (s.empty()) return false;
-    std::size_t i = (s[0] == '-' || s[0] == '+') ? 1 : 0;
-    bool digit = false, dot = false;
-    for (; i < s.size(); ++i) {
-        if (std::isdigit(static_cast<unsigned char>(s[i]))) {
-            digit = true;
-        } else if (s[i] == '.' && !dot) {
-            dot = true;
-        } else {
-            return false;
-        }
-    }
-    return digit;
-}
 
 /// Where a value is available inside a thread layer: a block output port.
 struct PortLoc {
@@ -211,7 +195,7 @@ PortLoc resolve_value(MappingState& st, ThreadLayer& layer,
                       const std::string& var) {
     if (auto it = layer.defs.find(var); it != layer.defs.end()) return it->second;
     Gen& g = *st.gen;
-    if (is_numeric_literal(var)) {
+    if (transform::is_numeric_literal(var)) {
         Object& c = g.block(*layer.tsys, "const_" + var, "Constant", 0, 1);
         g.set_param(c, "Value", var);
         layer.defs[var] = {&c, 1};

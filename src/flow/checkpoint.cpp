@@ -49,10 +49,16 @@ std::string CheckpointStore::key(std::string_view model_bytes,
                                  std::string_view options_fingerprint,
                                  std::string_view strategy,
                                  std::string_view subsystem) {
+    return key(core::fnv1a(model_bytes), options_fingerprint, strategy, subsystem);
+}
+
+std::string CheckpointStore::key(std::uint64_t model_hash,
+                                 std::string_view options_fingerprint,
+                                 std::string_view strategy,
+                                 std::string_view subsystem) {
     // Chain the fields through one running hash, separated so that the
     // concatenation of two fields can't collide with a shifted split.
-    std::uint64_t h = core::fnv1a(model_bytes);
-    h = core::fnv1a("|", h);
+    std::uint64_t h = core::fnv1a("|", model_hash);
     h = core::fnv1a(options_fingerprint, h);
     h = core::fnv1a("|", h);
     h = core::fnv1a(strategy, h);

@@ -33,6 +33,12 @@ public:
                            std::string_view options_fingerprint,
                            std::string_view strategy,
                            std::string_view subsystem);
+    /// The same key from `model_hash` = core::fnv1a(model_bytes), so a run
+    /// hashes its model once for all of its units.
+    static std::string key(std::uint64_t model_hash,
+                           std::string_view options_fingerprint,
+                           std::string_view strategy,
+                           std::string_view subsystem);
 
     /// Loads the checkpoint for `key` into `out` (strategy, subsystem,
     /// files). Returns false when absent, unreadable, or corrupt — a

@@ -1,6 +1,10 @@
 #include "model/object.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <utility>
+
+#include "obs/obs.hpp"
 
 namespace uhcg::model {
 namespace {
@@ -173,31 +177,88 @@ std::vector<Object*> Object::contained() const {
     return out;
 }
 
+ObjectModel::ObjectModel(ObjectModel&& other) noexcept
+    : meta_(other.meta_),
+      objects_(std::move(other.objects_)),
+      ids_(std::move(other.ids_)),
+      next_id_(other.next_id_),
+      probes_(other.probes_.exchange(0, std::memory_order_relaxed)) {}
+
+ObjectModel& ObjectModel::operator=(ObjectModel&& other) noexcept {
+    report_probes();
+    meta_ = other.meta_;
+    objects_ = std::move(other.objects_);
+    ids_ = std::move(other.ids_);
+    next_id_ = other.next_id_;
+    probes_.store(other.probes_.exchange(0, std::memory_order_relaxed),
+                  std::memory_order_relaxed);
+    return *this;
+}
+
+ObjectModel::~ObjectModel() { report_probes(); }
+
+void ObjectModel::report_probes() {
+    static obs::Counter& probes = obs::counter("model.id_probes");
+    if (std::uint64_t n = probes_.exchange(0, std::memory_order_relaxed))
+        probes.add(n);
+}
+
+std::size_t ObjectModel::probe(std::string_view id, std::size_t hash) const {
+    const std::size_t mask = ids_.size() - 1;
+    std::size_t i = hash & mask;
+    std::uint64_t inspected = 1;
+    for (; ids_[i].object != nullptr; i = (i + 1) & mask, ++inspected)
+        if (ids_[i].hash == hash && ids_[i].object->id() == id) break;
+    probes_.fetch_add(inspected, std::memory_order_relaxed);
+    return i;
+}
+
+void ObjectModel::reserve_one() {
+    if (2 * (objects_.size() + 1) <= ids_.size()) return;
+    std::vector<IdSlot> grown(ids_.empty() ? 16 : 2 * ids_.size());
+    const std::size_t mask = grown.size() - 1;
+    for (const IdSlot& slot : ids_) {
+        if (slot.object == nullptr) continue;
+        std::size_t i = slot.hash & mask;
+        while (grown[i].object != nullptr) i = (i + 1) & mask;
+        grown[i] = slot;
+    }
+    ids_ = std::move(grown);
+}
+
 Object& ObjectModel::create(std::string_view class_name, std::string id) {
     const MetaClass& meta = meta_->get_class(class_name);
     if (meta.is_abstract())
         throw std::invalid_argument("cannot instantiate abstract class " +
                                     meta.name());
+    reserve_one();
+    const std::hash<std::string_view> hasher;
+    std::size_t hash = 0;
+    std::size_t at = 0;
     if (id.empty()) {
         do {
             id = "_" + std::to_string(next_id_++);
-        } while (by_id_.count(id) != 0);
-    } else if (by_id_.count(id) != 0) {
-        throw std::invalid_argument("duplicate object id: " + id);
+            hash = hasher(id);
+            at = probe(id, hash);
+        } while (ids_[at].object != nullptr);
+    } else {
+        hash = hasher(id);
+        at = probe(id, hash);
+        if (ids_[at].object != nullptr)
+            throw std::invalid_argument("duplicate object id: " + id);
     }
     Object& obj = objects_.emplace_back(meta, std::move(id));
-    by_id_.emplace(obj.id(), &obj);
+    ids_[at] = {hash, &obj};
     return obj;
 }
 
 Object* ObjectModel::find(std::string_view id) {
-    auto it = by_id_.find(id);
-    return it == by_id_.end() ? nullptr : it->second;
+    return const_cast<Object*>(std::as_const(*this).find(id));
 }
 
 const Object* ObjectModel::find(std::string_view id) const {
-    auto it = by_id_.find(id);
-    return it == by_id_.end() ? nullptr : it->second;
+    if (ids_.empty()) return nullptr;
+    return ids_[probe(id, std::hash<std::string_view>{}(id))].object;
 }
 
 std::vector<Object*> ObjectModel::roots() const {

@@ -9,16 +9,17 @@
 //
 // An object's attribute and reference slots are arrays indexed by its
 // class's layout position (MetaClass::all_attributes/all_references); a
-// feature name is found by a short scan over the layout.
+// feature name is found by a short scan over the layout. Ids are indexed
+// by one flat open-addressing table of (hash, Object*) slots.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "model/metamodel.hpp"
@@ -95,13 +96,17 @@ public:
     explicit ObjectModel(const Metamodel& meta) : meta_(&meta) {}
     ObjectModel(const ObjectModel&) = delete;
     ObjectModel& operator=(const ObjectModel&) = delete;
-    ObjectModel(ObjectModel&&) noexcept = default;
-    ObjectModel& operator=(ObjectModel&&) noexcept = default;
+    ObjectModel(ObjectModel&& other) noexcept;
+    ObjectModel& operator=(ObjectModel&& other) noexcept;
+    /// Adds the id slots this model's creates and finds inspected to the
+    /// `model.id_probes` counter.
+    ~ObjectModel();
 
     const Metamodel& metamodel() const { return *meta_; }
 
     /// Creates an instance of `class_name` (must exist and be concrete).
-    /// A fresh id is generated when `id` is empty.
+    /// A fresh id is generated when `id` is empty. Throws
+    /// std::invalid_argument on a duplicate id and then changes nothing.
     Object& create(std::string_view class_name, std::string id = {});
 
     /// nullptr when absent.
@@ -118,13 +123,31 @@ public:
     std::size_t size() const { return objects_.size(); }
 
 private:
+    /// One id table entry; `object == nullptr` marks a free slot.
+    struct IdSlot {
+        std::size_t hash = 0;
+        Object* object = nullptr;
+    };
+
+    /// The slot holding `id`, or the free slot where it would go. Only
+    /// call with a non-empty table.
+    std::size_t probe(std::string_view id, std::size_t hash) const;
+    /// Doubles the table (16 slots at first) when one more id would load
+    /// it past half. Moves slots by their stored hash.
+    void reserve_one();
+    void report_probes();
+
     const Metamodel* meta_;
     /// `roots`, `objects` and `all_of` are const but hand out mutable
     /// objects.
     mutable std::deque<Object> objects_;
-    /// Keyed by views into the objects' ids, which never move.
-    std::unordered_map<std::string_view, Object*> by_id_;
+    /// Power-of-two open-addressing table, linear probing, at most half
+    /// full. Entries point into the deque, which never moves an object.
+    std::vector<IdSlot> ids_;
     std::uint64_t next_id_ = 1;
+    /// Slots inspected by create/find; relaxed, as const finds may run
+    /// concurrently.
+    mutable std::atomic<std::uint64_t> probes_{0};
 };
 
 }  // namespace uhcg::model

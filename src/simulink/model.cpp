@@ -1,6 +1,7 @@
 #include "simulink/model.hpp"
 
 #include <algorithm>
+#include <map>
 #include <stdexcept>
 #include <utility>
 
@@ -92,13 +93,33 @@ Block::Block(std::string name, BlockType type, System* parent)
 
 Block::~Block() = default;
 
+namespace {
+
+using Parameters = std::vector<std::pair<std::string, std::string>>;
+
+/// First parameter whose key is not below `key`.
+template <typename Params>
+auto key_bound(Params& params, std::string_view key) {
+    return std::lower_bound(
+        params.begin(), params.end(), key,
+        [](const Parameters::value_type& p, std::string_view k) {
+            return p.first < k;
+        });
+}
+
+}  // namespace
+
 void Block::set_parameter(std::string_view key, std::string_view value) {
-    params_.insert_or_assign(std::string(key), std::string(value));
+    auto it = key_bound(params_, key);
+    if (it != params_.end() && it->first == key)
+        it->second.assign(value);
+    else
+        params_.emplace(it, std::string(key), std::string(value));
 }
 
 const std::string* Block::find_parameter(std::string_view key) const {
-    auto it = params_.find(key);
-    return it == params_.end() ? nullptr : &it->second;
+    auto it = key_bound(params_, key);
+    return it != params_.end() && it->first == key ? &it->second : nullptr;
 }
 
 std::string Block::parameter_or(std::string_view key, std::string fallback) const {
@@ -178,22 +199,32 @@ int Block::output_named(std::string_view name) const {
 
 namespace {
 
-/// One index probe, counted in `simulink.lookup_scans` (one relaxed add per
-/// call); returns the hit or nullptr.
-template <typename Index, typename Key>
-typename Index::mapped_type probed(const Index& index, const Key& key) {
-    static obs::Counter& probes = obs::counter("simulink.lookup_scans");
-    probes.add(1);
-    auto it = index.find(key);
-    return it == index.end() ? nullptr : it->second;
+/// Counts one name or port lookup in `simulink.lookup_scans` (one relaxed
+/// add per call).
+void count_lookup() {
+    static obs::Counter& lookups = obs::counter("simulink.lookup_scans");
+    lookups.add(1);
+}
+
+/// The line in the slot of `port`, or nullptr below 1 and past the slots.
+Line* line_at(const std::vector<Line*>& slots, int port) {
+    if (port < 1 || static_cast<std::size_t>(port) > slots.size()) return nullptr;
+    return slots[static_cast<std::size_t>(port) - 1];
+}
+
+/// The slot of a 1-based `port` that `slots` is known to hold.
+Line*& slot_at(std::vector<Line*>& slots, int port) {
+    return slots[static_cast<std::size_t>(port) - 1];
+}
+
+/// The slot of `port`, growing `slots` to at least `count` ports first.
+Line*& grown_slot(std::vector<Line*>& slots, int port, int count) {
+    const auto size = static_cast<std::size_t>(std::max(port, count));
+    if (slots.size() < size) slots.resize(size, nullptr);
+    return slot_at(slots, port);
 }
 
 }  // namespace
-
-std::size_t System::PortRefHash::operator()(const PortRef& ref) const noexcept {
-    return std::hash<const Block*>{}(ref.block) * 31 +
-           static_cast<std::size_t>(ref.port);
-}
 
 Block& System::add_block(std::string name, BlockType type) {
     if (find_block(name))
@@ -216,7 +247,9 @@ Block* System::find_block(std::string_view name) {
 }
 
 const Block* System::find_block(std::string_view name) const {
-    return probed(by_name_, name);
+    count_lookup();
+    auto it = by_name_.find(name);
+    return it == by_name_.end() ? nullptr : it->second;
 }
 
 std::string System::unique_name(const std::string& hint) {
@@ -260,11 +293,8 @@ void System::remove_block(Block& block) {
     // Drop every line endpoint referring to the block first.
     std::erase_if(lines_, [&](const std::unique_ptr<Line>& line) {
         if (line->source().block != &block) {
-            std::erase_if(line->dsts_, [&](const PortRef& d) {
-                if (d.block != &block) return false;
-                into_.erase(d);
-                return true;
-            });
+            std::erase_if(line->dsts_,
+                          [&](const PortRef& d) { return d.block == &block; });
             if (!line->dsts_.empty()) return false;
         }
         unindex(*line);
@@ -302,10 +332,11 @@ Line& System::add_line(PortRef src, PortRef dst, std::string name) {
     } else {
         line = lines_.emplace_back(std::make_unique<Line>(src, std::move(name)))
                    .get();
-        from_.emplace(src, line);
+        grown_slot(src.block->out_lines_, src.port, src.block->output_count()) =
+            line;
     }
     line->dsts_.push_back(dst);
-    into_.emplace(dst, line);
+    grown_slot(dst.block->in_lines_, dst.port, dst.block->input_count()) = line;
     return *line;
 }
 
@@ -314,7 +345,9 @@ Line* System::line_from(const PortRef& src) {
 }
 
 const Line* System::line_from(const PortRef& src) const {
-    return probed(from_, src);
+    count_lookup();
+    if (src.block == nullptr || src.block->parent() != this) return nullptr;
+    return line_at(src.block->out_lines_, src.port);
 }
 
 Line* System::line_into(const PortRef& dst) {
@@ -322,7 +355,9 @@ Line* System::line_into(const PortRef& dst) {
 }
 
 const Line* System::line_into(const PortRef& dst) const {
-    return probed(into_, dst);
+    count_lookup();
+    if (dst.block == nullptr || dst.block->parent() != this) return nullptr;
+    return line_at(dst.block->in_lines_, dst.port);
 }
 
 std::vector<Line*> System::lines() {
@@ -338,8 +373,9 @@ std::vector<const Line*> System::lines() const {
 }
 
 void System::unindex(const Line& line) {
-    from_.erase(line.source());
-    for (const PortRef& d : line.destinations()) into_.erase(d);
+    slot_at(line.source().block->out_lines_, line.source().port) = nullptr;
+    for (const PortRef& d : line.destinations())
+        slot_at(d.block->in_lines_, d.port) = nullptr;
 }
 
 void System::remove_line(Line& line) {
@@ -359,7 +395,7 @@ std::pair<PortRef, std::string> System::disconnect(const PortRef& dst) {
                                     " is not driven in system " + name_);
     std::pair<PortRef, std::string> removed{line->source(), line->name()};
     line->remove_destination(dst);
-    into_.erase(dst);
+    slot_at(dst.block->in_lines_, dst.port) = nullptr;
     if (line->destinations().empty()) remove_line(*line);
     return removed;
 }

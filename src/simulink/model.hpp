@@ -9,7 +9,6 @@
 // vocabulary of the paper's Fig. 3(c).
 #pragma once
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <ranges>
@@ -61,6 +60,7 @@ inline constexpr const char* kProtocolSwFifo = "SWFIFO";
 inline constexpr const char* kProtocolGFifo = "GFIFO";
 
 class Block;
+class Line;
 /// One direction's port names of a block (defined in model.cpp).
 struct PortNames;
 
@@ -94,7 +94,8 @@ public:
     void set_parameter(std::string_view key, std::string_view value);
     const std::string* find_parameter(std::string_view key) const;
     std::string parameter_or(std::string_view key, std::string fallback) const;
-    const std::map<std::string, std::string, std::less<>>& parameters() const {
+    /// Every parameter, sorted by key; one entry per key.
+    const std::vector<std::pair<std::string, std::string>>& parameters() const {
         return params_;
     }
 
@@ -129,7 +130,12 @@ private:
     CaamRole role_ = CaamRole::None;
     int inputs_ = 0;
     int outputs_ = 0;
-    std::map<std::string, std::string, std::less<>> params_;
+    std::vector<std::pair<std::string, std::string>> params_;
+    /// The line feeding each input port and the line each output port
+    /// drives, indexed by port - 1; nullptr when unconnected. Grown by
+    /// System::add_line, so a slot may outlive a set_ports shrink.
+    std::vector<Line*> in_lines_;
+    std::vector<Line*> out_lines_;
     /// Allocated on a direction's first port name; most blocks have none.
     std::unique_ptr<PortNames> input_names_;
     std::unique_ptr<PortNames> output_names_;
@@ -160,7 +166,8 @@ private:
 
 /// A container of blocks and lines: the model root or a subsystem body.
 /// Every line edit and every fresh block name goes through its methods,
-/// which keep the name and port indexes behind the O(1) lookups in step.
+/// which keep the name index and the blocks' line slots behind the O(1)
+/// lookups in step.
 class System {
 public:
     friend class Model;
@@ -203,7 +210,8 @@ public:
     void remove_block(Block& block);
 
     Line& add_line(PortRef src, PortRef dst, std::string name = {});
-    /// Line driven by this source port, or nullptr.
+    /// Line driven by this source port, or nullptr (also for a port < 1,
+    /// a port never wired and a block of another system).
     Line* line_from(const PortRef& src);
     const Line* line_from(const PortRef& src) const;
     /// Line feeding this destination port, or nullptr.
@@ -229,12 +237,8 @@ public:
     std::size_t total_lines() const;
 
 private:
-    struct PortRefHash {
-        std::size_t operator()(const PortRef& ref) const noexcept;
-    };
-    using PortIndex = std::unordered_map<PortRef, Line*, PortRefHash>;
-
-    void unindex(const Line& line);
+    /// Clears the slots of every endpoint of `line`.
+    static void unindex(const Line& line);
 
     std::string name_;
     Block* owner_;
@@ -243,8 +247,6 @@ private:
     std::vector<std::unique_ptr<Line>> lines_;
     /// Keyed by views into `Block::name_`, which never changes.
     std::unordered_map<std::string_view, Block*> by_name_;
-    PortIndex from_;  ///< source port → its line
-    PortIndex into_;  ///< destination port → the line feeding it
     /// Per `unique_name` hint: the suffix to probe first. Every lower one
     /// is taken until a block is removed, which clears the memo.
     std::unordered_map<std::string, int> next_suffix_;

@@ -69,4 +69,20 @@ std::string sanitize_identifier(std::string_view name) {
     return out;
 }
 
+bool is_numeric_literal(std::string_view text) {
+    if (text.empty()) return false;
+    std::size_t i = (text[0] == '-' || text[0] == '+') ? 1 : 0;
+    bool digit = false, dot = false;
+    for (; i < text.size(); ++i) {
+        if (std::isdigit(static_cast<unsigned char>(text[i]))) {
+            digit = true;
+        } else if (text[i] == '.' && !dot) {
+            dot = true;
+        } else {
+            return false;
+        }
+    }
+    return digit;
+}
+
 }  // namespace uhcg::transform

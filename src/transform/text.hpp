@@ -48,4 +48,9 @@ std::string expand_template(std::string_view text,
 /// digit prefixed). Collision-free renaming is the caller's concern.
 std::string sanitize_identifier(std::string_view name);
 
+/// True for a decimal literal such as "1.0", "-2" or "+.5": an optional
+/// sign, then digits with at most one '.', and at least one digit. Message
+/// arguments of this shape are constants, not variables.
+bool is_numeric_literal(std::string_view text);
+
 }  // namespace uhcg::transform

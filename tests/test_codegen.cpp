@@ -5,12 +5,15 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <sstream>
 
 #include "cases/cases.hpp"
 #include "codegen/caam_to_c.hpp"
 #include "codegen/uml_to_cpp.hpp"
 #include "core/pipeline.hpp"
 #include "flow/generate.hpp"
+#include "uml/builder.hpp"
 #include "uml/xmi.hpp"
 
 namespace {
@@ -157,6 +160,21 @@ TEST(UmlToCpp, GetMessagesPopMatchingQueue) {
               std::string::npos);
 }
 
+TEST(UmlToCpp, NumericLiteralArgumentsAreEmittedAsConstants) {
+    uml::ModelBuilder b("literals");
+    b.platform();
+    b.thread("T");
+    auto sd = b.seq("s");
+    sd.message("T", "Platform", "work").arg("1.0").arg("-2").result("r");
+    diag::DiagnosticEngine engine;
+    CppProgram program = generate_cpp_threads(b.take(), 1, engine);
+    EXPECT_NE(program.source.find("double r = work(1.0, -2);"), std::string::npos)
+        << program.source;
+    EXPECT_EQ(program.source.find("rt::env_read(\"1.0\")"), std::string::npos);
+    EXPECT_EQ(engine.count_code(diag::codes::kCodegenThreads), 0u)
+        << engine.render_text();
+}
+
 // --- identifiers of names that sanitize alike ---------------------------------------
 
 /// Occurrences of `needle` in `text`.
@@ -216,6 +234,44 @@ TEST_P(CollidingThreadNames, GenerateShipsTheSameProgramWithoutWarnings) {
         if (r.strategy == "cpp-threads") shipped = &r.files.at(0).contents;
     ASSERT_NE(shipped, nullptr);
     EXPECT_EQ(*shipped, generate_cpp_threads(model, 100).source);
+}
+
+// Every global step function of the caam-c program (one per CPU, one per
+// thread) is defined once, and the files pass a C99 syntax check.
+TEST_P(CollidingThreadNames, CaamCStepFunctionsGetTheirOwnNames) {
+    core::MapperOptions options;
+    options.auto_allocate = model.deployment_or_null() == nullptr;
+    GeneratedProgram program = generate_c_program(core::map_to_caam(model, options));
+    std::map<std::string, int> definitions;
+    for (const auto& [name, text] : program.files) {
+        if (!name.starts_with("cpu_")) continue;
+        std::istringstream lines(text);
+        for (std::string line; std::getline(lines, line);)
+            if (line.starts_with("void ") && line.ends_with("(void)"))
+                ++definitions[line.substr(5, line.size() - 11)];
+    }
+    for (const auto& [fn, count] : definitions) EXPECT_EQ(count, 1) << fn;
+    if (std::string(GetParam()) == "threads_collision_one_cpu") {
+        EXPECT_EQ(definitions.count("CPU2_C_D_step"), 1u);
+        EXPECT_EQ(definitions.count("CPU2_C_D_step_1"), 1u);
+        EXPECT_NE(program.files.at("cpu_CPU2.c").find("    CPU2_C_D_step_1();"),
+                  std::string::npos);
+    }
+
+    if (std::system("command -v gcc > /dev/null 2>&1") != 0)
+        GTEST_SKIP() << "no C compiler on PATH";
+    const std::filesystem::path dir =
+        std::filesystem::path(testing::TempDir()) /
+        (std::string("caamc_") + GetParam());
+    std::filesystem::create_directories(dir);
+    for (const auto& [name, text] : program.files) std::ofstream(dir / name) << text;
+    for (const auto& [name, text] : program.files)
+        if (name.ends_with(".c"))
+            EXPECT_EQ(std::system(("gcc -std=c99 -fsyntax-only -I'" + dir.string() +
+                                   "' '" + (dir / name).string() + "'")
+                                      .c_str()),
+                      0)
+                << name;
 }
 
 INSTANTIATE_TEST_SUITE_P(Models, CollidingThreadNames,

@@ -333,6 +333,32 @@ TEST(PipelineCompat, WarningsViewDerivesFromDiagnostics) {
 
 // --- heterogeneous generate ---------------------------------------------------------
 
+// Every unit run adds its thread's CPU time and minor page faults under
+// its branch name, the shared CAAM prep under `caam-prep`.
+TEST(Generate, UnitsRecordThreadCpuTimeAndMinorFaults) {
+#if !defined(__linux__)
+    GTEST_SKIP() << "per-thread CPU clocks are read on Linux only";
+#else
+    uml::Model model = cases::mixed_model();
+    flow::GenerateOptions options;
+    options.with_kpn = true;
+    options.gen_jobs = 2;
+    diag::DiagnosticEngine engine;
+    flow::GenerateResult result = flow::generate(model, options, engine);
+    ASSERT_EQ(result.status, flow::GenerateStatus::Ok) << engine.render_text();
+    const std::map<std::string, std::uint64_t> counters =
+        obs::metrics_snapshot().counters;
+    std::vector<std::string> units{"caam-prep"};
+    for (const flow::StrategyResult& sr : result.results)
+        units.push_back(sr.strategy);
+    for (const std::string& unit : units) {
+        EXPECT_EQ(counters.count("flow.unit." + unit + ".cpu_us"), 1u) << unit;
+        EXPECT_EQ(counters.count("flow.unit." + unit + ".minor_faults"), 1u) << unit;
+    }
+    EXPECT_GT(counters.at("flow.unit.caam-prep.cpu_us"), 0u);
+#endif
+}
+
 TEST(Generate, MixedModelProducesAllBranches) {
     uml::Model model = cases::mixed_model();
     flow::GenerateOptions options;
@@ -587,7 +613,7 @@ fsm-c:control:Elevator fsm.emit-c [fsm.machine] -> [fsm.c] {bytes}
         {"corpus_0_main.c", "0bb108223c024e25"},
         {"corpus_0_sfunctions.c", "c45c52358ac7b095"},
         {"corpus_0_sfunctions.h", "d644173295dea068"},
-        {"corpus_0_threads.cpp", "3e7dd5018d2e838a"},
+        {"corpus_0_threads.cpp", "7fe9207d13cb2205"},
         {"corpus_0_uhcg_rt.h", "51609aded7d6325a"},
         {"crane.mdl", "70b429672d31cc3b"},
         {"crane_caam.dot", "cf81d8d42e840f52"},
@@ -606,7 +632,7 @@ fsm-c:control:Elevator fsm.emit-c [fsm.machine] -> [fsm.c] {bytes}
         {"didactic_main.c", "9fe5ece8adda677a"},
         {"didactic_sfunctions.c", "d11701510d062a84"},
         {"didactic_sfunctions.h", "3400034101280ff2"},
-        {"didactic_threads.cpp", "a2319da38bab7ad2"},
+        {"didactic_threads.cpp", "8d9c6d293efcefa9"},
         {"didactic_uhcg_rt.h", "51609aded7d6325a"},
         {"mixed.mdl", "8bf9045cfc8a5ea3"},
         {"mixed_caam.dot", "f300a2d3874afa38"},
@@ -844,12 +870,13 @@ TEST(Generate, FrontEndAndKpnWorkGrowLinearlyWithChannels) {
 // The model-to-model transformations and the schedulability probe are
 // linear in the channel count. With the KPN branch on, between the same
 // 60- and 120-thread synth models, `transform.objects` (source plus target
-// objects of every transformation run) and `sim.resolve.visits` (blocks
+// objects of every transformation run), `model.id_probes` (id-table slots
+// their creates and finds inspect) and `sim.resolve.visits` (blocks
 // visited resolving drivers) grow with a log-log slope of at most 1.25.
-// Both are exact: a parallel run counts what a serial run counts.
+// All are exact: a parallel run counts what a serial run counts.
 TEST(Generate, MappingAndScheduleWorkGrowLinearlyWithChannels) {
     struct Work {
-        double channels, objects, visits;
+        double channels, objects, visits, id_probes;
     };
     auto measure = [](std::size_t threads, std::size_t gen_jobs) {
         campaign::CorpusOptions synth;
@@ -860,8 +887,10 @@ TEST(Generate, MappingAndScheduleWorkGrowLinearlyWithChannels) {
         uml::Model model = campaign::synth_model(synth, 0);
         obs::Counter& objects = obs::counter("transform.objects");
         obs::Counter& visits = obs::counter("sim.resolve.visits");
+        obs::Counter& id_probes = obs::counter("model.id_probes");
         const std::uint64_t objects_before = objects.value();
         const std::uint64_t visits_before = visits.value();
+        const std::uint64_t id_probes_before = id_probes.value();
         flow::GenerateOptions options;
         options.with_kpn = true;
         options.gen_jobs = gen_jobs;
@@ -869,7 +898,8 @@ TEST(Generate, MappingAndScheduleWorkGrowLinearlyWithChannels) {
         flow::GenerateResult result = flow::generate(model, options, engine);
         EXPECT_EQ(result.status, flow::GenerateStatus::Ok) << threads;
         Work work{0, static_cast<double>(objects.value() - objects_before),
-                  static_cast<double>(visits.value() - visits_before)};
+                  static_cast<double>(visits.value() - visits_before),
+                  static_cast<double>(id_probes.value() - id_probes_before)};
         for (const flow::StrategyResult& r : result.results)
             for (const flow::GeneratedFile& f : r.files)
                 if (f.name.ends_with(".mdl")) {
@@ -886,9 +916,12 @@ TEST(Generate, MappingAndScheduleWorkGrowLinearlyWithChannels) {
     EXPECT_EQ(large.channels, 2196);
     ASSERT_GT(small.objects, 0);
     ASSERT_GT(small.visits, 0);
+    ASSERT_GT(small.id_probes, 0);
     const double growth = std::log(large.channels / small.channels);
     EXPECT_LE(std::log(large.objects / small.objects) / growth, 1.25)
         << "transform.objects " << small.objects << " -> " << large.objects;
+    EXPECT_LE(std::log(large.id_probes / small.id_probes) / growth, 1.25)
+        << "model.id_probes " << small.id_probes << " -> " << large.id_probes;
     EXPECT_LE(std::log(large.visits / small.visits) / growth, 1.25)
         << "sim.resolve.visits " << small.visits << " -> " << large.visits;
     for (std::size_t threads : {60, 120}) {
@@ -896,6 +929,7 @@ TEST(Generate, MappingAndScheduleWorkGrowLinearlyWithChannels) {
         const Work parallel = measure(threads, 4);
         EXPECT_EQ(parallel.objects, serial.objects) << threads;
         EXPECT_EQ(parallel.visits, serial.visits) << threads;
+        EXPECT_EQ(parallel.id_probes, serial.id_probes) << threads;
     }
 }
 

@@ -10,6 +10,7 @@
 #include "model/metamodel.hpp"
 #include "model/object.hpp"
 #include "model/validate.hpp"
+#include "obs/obs.hpp"
 #include "simulink/generic.hpp"
 
 namespace {
@@ -290,6 +291,57 @@ TEST_F(ObjectTest, FindWorksAfterMove) {
     Object& fresh = assigned.create("Node", std::string(40, 'F'));
     EXPECT_EQ(assigned.find(std::string(40, 'F')), &fresh);
     EXPECT_EQ(assigned.size(), 3u);
+}
+
+// The flat id table across many growths: every id stays findable, and a
+// miss stays a miss.
+TEST_F(ObjectTest, HundredThousandCreatesThenFindEach) {
+    constexpr int kCount = 100000;
+    std::vector<Object*> created;
+    created.reserve(kCount);
+    for (int i = 0; i < kCount; ++i)
+        created.push_back(&m.create("Node", "node" + std::to_string(i)));
+    ASSERT_EQ(m.size(), static_cast<std::size_t>(kCount));
+    for (int i = 0; i < kCount; ++i)
+        ASSERT_EQ(m.find("node" + std::to_string(i)), created[i]) << i;
+    EXPECT_EQ(m.find("node" + std::to_string(kCount)), nullptr);
+    EXPECT_EQ(m.find(""), nullptr);
+}
+
+TEST_F(ObjectTest, GeneratedIdsSkipExplicitOnes) {
+    Object& explicit_seven = m.create("Node", "_7");
+    std::vector<std::string> ids;
+    for (int i = 0; i < 8; ++i) ids.push_back(m.create("Node").id());
+    EXPECT_EQ(ids, (std::vector<std::string>{"_1", "_2", "_3", "_4", "_5", "_6",
+                                             "_8", "_9"}));
+    EXPECT_EQ(m.find("_7"), &explicit_seven);
+    EXPECT_EQ(m.size(), 9u);
+}
+
+TEST_F(ObjectTest, FailedDuplicateCreateChangesNothing) {
+    Object& a = m.create("Node", "a");
+    for (int i = 0; i < 6; ++i) m.create("Node");  // next create would grow
+    const std::size_t before = m.size();
+    EXPECT_THROW(m.create("Special", "a"), std::invalid_argument);
+    EXPECT_EQ(m.size(), before);
+    EXPECT_EQ(m.find("a"), &a);
+    EXPECT_TRUE(m.find("a")->meta().name() == "Node");
+    EXPECT_EQ(m.all_of("Special").size(), 0u);
+    EXPECT_EQ(m.create("Node").id(), "_7");
+}
+
+TEST_F(ObjectTest, IdProbesCountedOncePerModel) {
+    uhcg::obs::Counter& probes = uhcg::obs::counter("model.id_probes");
+    const std::uint64_t before = probes.value();
+    {
+        ObjectModel local(mm);
+        local.create("Node", "x");
+        EXPECT_NE(local.find("x"), nullptr);
+        ObjectModel moved = std::move(local);
+        EXPECT_EQ(probes.value(), before);  // nothing reported mid-life
+    }
+    // One slot per create and one per find on a near-empty table.
+    EXPECT_EQ(probes.value() - before, 2u);
 }
 
 TEST(Layout, SlotAndContainmentOrderAcrossThreeLevels) {

@@ -21,6 +21,7 @@
 #include "campaign/corpus.hpp"
 #include "campaign/manifest.hpp"
 #include "cases/cases.hpp"
+#include "core/hash.hpp"
 #include "flow/checkpoint.hpp"
 #include "flow/fault.hpp"
 #include "flow/generate.hpp"
@@ -151,6 +152,15 @@ TEST_F(Resilience, CheckpointKeyChangesWithEveryInput) {
     EXPECT_NE(base, flow::CheckpointStore::key("m", "o", "s2", "u"));
     EXPECT_NE(base, flow::CheckpointStore::key("m", "o", "s", "u2"));
     EXPECT_EQ(base, flow::CheckpointStore::key("m", "o", "s", "u"));
+}
+
+// A run hashes its model once and chains every unit's key from that hash;
+// the persisted key is the one the model bytes give.
+TEST_F(Resilience, CheckpointKeyFromTheModelHashIsPinned) {
+    EXPECT_EQ(flow::CheckpointStore::key("m", "o", "s", "u"),
+              "s-u-8e2506c4563f3487");
+    EXPECT_EQ(flow::CheckpointStore::key(core::fnv1a("m"), "o", "s", "u"),
+              "s-u-8e2506c4563f3487");
 }
 
 TEST_F(Resilience, CorruptCheckpointIsAMissNotAnError) {

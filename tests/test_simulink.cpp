@@ -123,6 +123,94 @@ TEST(SimulinkModel, DisconnectDetachesOneDestination) {
     EXPECT_THROW(m.root().disconnect({&g2, 1}), std::invalid_argument);
 }
 
+TEST(SimulinkModel, LineLookupsAnswerOnlyForThisSystemsPorts) {
+    Model m("m");
+    Block& sub = m.root().add_subsystem("sub");
+    Block& c = m.root().add_block("c", BlockType::Constant);
+    Block& g = m.root().add_block("g", BlockType::Gain);
+    Block& inner_c = sub.system()->add_block("c", BlockType::Constant);
+    Block& inner_g = sub.system()->add_block("g", BlockType::Gain);
+    Line& outer = m.root().add_line({&c, 1}, {&g, 1});
+    Line& inner = sub.system()->add_line({&inner_c, 1}, {&inner_g, 1});
+    EXPECT_EQ(m.root().line_from({&c, 1}), &outer);
+    EXPECT_EQ(sub.system()->line_from({&inner_c, 1}), &inner);
+    // A block of another system, a port below 1 and a port past any slot.
+    EXPECT_EQ(m.root().line_from({&inner_c, 1}), nullptr);
+    EXPECT_EQ(m.root().line_into({&inner_g, 1}), nullptr);
+    EXPECT_EQ(sub.system()->line_into({&g, 1}), nullptr);
+    EXPECT_EQ(m.root().line_from({&c, 0}), nullptr);
+    EXPECT_EQ(m.root().line_into({&g, -1}), nullptr);
+    EXPECT_EQ(m.root().line_from({&c, 2}), nullptr);
+    EXPECT_EQ(m.root().line_into({&g, 9}), nullptr);
+    EXPECT_EQ(m.root().line_into({nullptr, 1}), nullptr);
+}
+
+TEST(SimulinkModel, RemovedAndDisconnectedPortsTakeANewLine) {
+    Model m("m");
+    Block& c = m.root().add_block("c", BlockType::Constant);
+    Block& c2 = m.root().add_block("c2", BlockType::Constant);
+    Block& g = m.root().add_block("g", BlockType::Gain);
+    Block& g2 = m.root().add_block("g2", BlockType::Gain);
+    m.root().add_line({&c, 1}, {&g, 1});
+    m.root().add_line({&c2, 1}, {&g2, 1});
+    m.root().remove_block(c);  // frees g's input
+    EXPECT_EQ(m.root().line_into({&g, 1}), nullptr);
+    Line& fed = m.root().add_line({&c2, 1}, {&g, 1});
+    EXPECT_EQ(m.root().line_into({&g, 1}), &fed);
+    m.root().disconnect({&g2, 1});  // frees g2's input, c2 still drives g
+    EXPECT_EQ(m.root().line_from({&c2, 1}), &fed);
+    Block& c3 = m.root().add_block("c3", BlockType::Constant);
+    Line& again = m.root().add_line({&c3, 1}, {&g2, 1});
+    EXPECT_EQ(m.root().line_into({&g2, 1}), &again);
+    m.root().disconnect({&g, 1});  // c2's line loses its last destination
+    EXPECT_EQ(m.root().line_from({&c2, 1}), nullptr);
+    Line& fresh = m.root().add_line({&c2, 1}, {&g, 1}, "fresh");
+    EXPECT_EQ(m.root().line_from({&c2, 1}), &fresh);
+    EXPECT_EQ(fresh.name(), "fresh");
+    EXPECT_EQ(m.root().lines().size(), 2u);
+}
+
+TEST(SimulinkModel, SetPortsShrinkThenGrowKeepsWiredPorts) {
+    Model m("m");
+    Block& src = m.root().add_block("src", BlockType::SFunction);
+    Block& dst = m.root().add_block("dst", BlockType::SFunction);
+    src.set_ports(0, 2);
+    dst.set_ports(3, 0);
+    Line& wired = m.root().add_line({&src, 2}, {&dst, 3});
+    dst.set_ports(1, 0);
+    src.set_ports(0, 1);
+    // A shrink changes the counts only: the line and its lookups stay.
+    EXPECT_EQ(m.root().line_into({&dst, 3}), &wired);
+    EXPECT_EQ(m.root().line_from({&src, 2}), &wired);
+    EXPECT_THROW(m.root().add_line({&src, 1}, {&dst, 3}), std::invalid_argument);
+    dst.set_ports(5, 0);
+    src.set_ports(0, 3);
+    EXPECT_EQ(m.root().line_into({&dst, 3}), &wired);
+    EXPECT_THROW(m.root().add_line({&src, 1}, {&dst, 3}), std::invalid_argument);
+    Line& added = m.root().add_line({&src, 3}, {&dst, 5});
+    EXPECT_EQ(m.root().line_into({&dst, 5}), &added);
+    EXPECT_EQ(m.root().line_from({&src, 3}), &added);
+    EXPECT_EQ(m.root().line_into({&dst, 4}), nullptr);
+}
+
+TEST(SimulinkModel, ParametersIterateByKeyAndOverwriteInPlace) {
+    Model m("m");
+    Block& b = m.root().add_block("b", BlockType::SFunction);
+    for (const char* key : {"Value", "Gain", "Protocol", "FunctionName", "A"})
+        b.set_parameter(key, std::string("v_") + key);
+    b.set_parameter("Gain", "2");
+    using Entry = std::pair<std::string, std::string>;
+    EXPECT_EQ(b.parameters(),
+              (std::vector<Entry>{{"A", "v_A"},
+                                  {"FunctionName", "v_FunctionName"},
+                                  {"Gain", "2"},
+                                  {"Protocol", "v_Protocol"},
+                                  {"Value", "v_Value"}}));
+    EXPECT_EQ(*b.find_parameter("Gain"), "2");
+    EXPECT_EQ(b.find_parameter("Gai"), nullptr);
+    EXPECT_EQ(b.find_parameter("Gainz"), nullptr);
+}
+
 TEST(SimulinkModel, UniqueNameProbesNumberedSuffixes) {
     Model m("m");
     EXPECT_EQ(m.root().unique_name("Delay"), "Delay");
