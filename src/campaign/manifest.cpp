@@ -133,14 +133,15 @@ Manifest parse_manifest(const std::string& text,
             return manifest;
         }
         for (const std::string& b : manifest.backends)
-            if (!sim::BackendRegistry::builtins().find(b)) {
+            if (b.empty() || !sim::find_backend(b)) {
                 manifest_error(engine, origin,
                                sim::unknown_backend_message(b));
                 return manifest;
             }
     }
     if (manifest.backends.empty())
-        manifest.backends = {std::string(sim::kDefaultBackend)};
+        manifest.backends = {
+            std::string(sim::backend_name(sim::Backend::DynamicFifo))};
 
     if (const obs::json::Value* cms = doc.find("cost_models")) {
         if (!cms->is_array()) {

@@ -2,7 +2,7 @@
 //
 // A campaign manifest (schema `uhcg-campaign-v1`) names the sweep matrix:
 // UML models × job strategies × cost-model parameter sets × simulation
-// backends (PR 8's registry). `load_manifest` parses + validates it with
+// backends (sim/backend.hpp). `load_manifest` parses + validates it with
 // structured `campaign.manifest` diagnostics; `expand` resolves the model
 // list (files and directories of .xmi), reads every model's bytes once and
 // produces the job list in one canonical order — model-major, then
@@ -52,7 +52,8 @@ struct Manifest {
     /// Job strategies: "generate" (full heterogeneous codegen through the
     /// resilient flow) and/or "explore" (DSE sweep on the cost model).
     std::vector<std::string> strategies;
-    /// Simulation backend names, validated against sim::BackendRegistry.
+    /// Simulation backend names: "dynamic-fifo" and/or "analytic", spelled
+    /// out — an empty or unknown name fails the manifest.
     std::vector<std::string> backends;
     std::vector<CostModel> cost_models;
     // explore knobs

@@ -41,7 +41,8 @@ struct ThreadCode {
 
 class Generator {
 public:
-    explicit Generator(const simulink::Model& model) : model_(&model) {}
+    Generator(const simulink::Model& model, const std::string& prefix)
+        : model_(&model), prefix_(prefix) {}
 
     GeneratedProgram run() {
         // CPU step names are claimed first, so a model without colliding
@@ -52,15 +53,15 @@ public:
         collect_threads();
         GeneratedProgram out;
         out.channel_count = channels_.size();
-        out.files["uhcg_rt.h"] = runtime_header();
+        out.files[prefix_ + "uhcg_rt.h"] = runtime_header();
         auto [sf_h, sf_c, count] = sfunction_files();
         out.sfunction_count = count;
-        out.files["sfunctions.h"] = sf_h;
-        out.files["sfunctions.c"] = sf_c;
+        out.files[prefix_ + "sfunctions.h"] = sf_h;
+        out.files[prefix_ + "sfunctions.c"] = sf_c;
         for (const Block* cpu : simulink::cpu_subsystems(*model_))
-            out.files["cpu_" + sanitize_identifier(cpu->name()) + ".c"] =
-                cpu_file(*cpu);
-        out.files["main.c"] = main_file();
+            out.files[prefix_ + "cpu_" + sanitize_identifier(cpu->name()) +
+                      ".c"] = cpu_file(*cpu);
+        out.files[prefix_ + "main.c"] = main_file();
         return out;
     }
 
@@ -240,7 +241,7 @@ private:
 
         CodeWriter c;
         c.line("/* S-function behaviours (from UML operation bodies). */");
-        c.line("#include \"sfunctions.h\"");
+        c.line("#include \"" + prefix_ + "sfunctions.h\"");
         c.blank();
         for (const auto& [name, block] : sfuns) {
             c.line("void sfun_" + sanitize_identifier(name) +
@@ -333,7 +334,12 @@ private:
                             rhs = "uhcg_env_read(\"" + src.var + "\")";
                             break;
                     }
-                    w.line("double " + value_name(*b, 1) + " = " + rhs + ";");
+                    // An input nothing reads is still consumed (a channel
+                    // token must leave its FIFO), but names no variable.
+                    if (sys.line_from({const_cast<Block*>(b), 1}))
+                        w.line("double " + value_name(*b, 1) + " = " + rhs + ";");
+                    else
+                        w.line("(void)" + rhs + ";");
                     break;
                 }
                 case BlockType::Constant:
@@ -456,8 +462,8 @@ private:
     std::string cpu_file(const Block& cpu) const {
         CodeWriter w;
         w.line("/* Generated by uml-hcg CAAM code generator — do not edit. */");
-        w.line("#include \"uhcg_rt.h\"");
-        w.line("#include \"sfunctions.h\"");
+        w.line("#include \"" + prefix_ + "uhcg_rt.h\"");
+        w.line("#include \"" + prefix_ + "sfunctions.h\"");
         w.blank();
         w.line("extern uhcg_fifo_t uhcg_channels[];");
         w.blank();
@@ -488,7 +494,7 @@ private:
         CodeWriter w;
         w.line("/* Generated by uml-hcg CAAM code generator — do not edit. */");
         w.line("#include <stdio.h>");
-        w.line("#include \"uhcg_rt.h\"");
+        w.line("#include \"" + prefix_ + "uhcg_rt.h\"");
         w.blank();
         w.line("uhcg_fifo_t uhcg_channels[" +
                std::to_string(std::max<std::size_t>(1, channels_.size())) +
@@ -552,6 +558,7 @@ private:
     }
 
     const simulink::Model* model_;
+    std::string prefix_;
     std::vector<const Block*> channels_;
     std::map<const Block*, std::size_t> channel_index_;
     std::vector<const Block*> delays_;
@@ -565,8 +572,9 @@ private:
 
 }  // namespace
 
-GeneratedProgram generate_c_program(const simulink::Model& model) {
-    return Generator(model).run();
+GeneratedProgram generate_c_program(const simulink::Model& model,
+                                    const std::string& prefix) {
+    return Generator(model, prefix).run();
 }
 
 }  // namespace uhcg::codegen

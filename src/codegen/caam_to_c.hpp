@@ -20,15 +20,18 @@ namespace uhcg::codegen {
 
 struct GeneratedProgram {
     /// File name → contents ("uhcg_rt.h", "sfunctions.h", "sfunctions.c",
-    /// "cpu_<name>.c", "main.c").
+    /// "cpu_<name>.c", "main.c"), each name behind the program's prefix.
     std::map<std::string, std::string> files;
     std::size_t channel_count = 0;
     std::size_t sfunction_count = 0;
 };
 
-/// Generates the program. Throws std::runtime_error on models that are not
-/// valid CAAMs (run simulink::validate_caam first for diagnostics) or that
-/// still contain combinational cycles across threads.
-GeneratedProgram generate_c_program(const simulink::Model& model);
+/// Generates the program. Every file name, and every include line that
+/// names a generated header, starts with `prefix`, so the files build as
+/// written under any prefix. Throws std::runtime_error on models that are
+/// not valid CAAMs (run simulink::validate_caam first for diagnostics) or
+/// that still contain combinational cycles across threads.
+GeneratedProgram generate_c_program(const simulink::Model& model,
+                                    const std::string& prefix = "");
 
 }  // namespace uhcg::codegen

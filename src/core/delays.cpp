@@ -5,8 +5,10 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <ranges>
 #include <stdexcept>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "obs/obs.hpp"
 
@@ -39,12 +41,19 @@ struct Dep {
 };
 
 /// Dense ids for the atoms of one system: each block's inputs, then its
-/// outputs, blocks in system order.
+/// outputs, blocks in system order. Each block's first id sits in one
+/// power-of-two open-addressing table keyed by the block's address (linear
+/// probing, at most half full), so building it allocates once. Atoms are
+/// only ever looked up in the system their block belongs to.
 class AtomIds {
 public:
     explicit AtomIds(const System& sys) {
-        for (const Block* b : sys.blocks()) {
-            base_.emplace(b, size_);
+        const std::size_t blocks = std::ranges::size(sys.block_view());
+        const std::size_t capacity = std::bit_ceil(2 * blocks + 2);
+        shift_ = 64 - std::countr_zero(capacity);
+        slots_.assign(capacity, {nullptr, 0});
+        for (const Block* b : sys.block_view()) {
+            slots_[slot(b)] = {b, size_};
             size_ += static_cast<std::size_t>(b->input_count() + b->output_count());
         }
     }
@@ -53,11 +62,26 @@ public:
 
     std::size_t operator()(const Atom& a) const {
         const int offset = a.port - 1 + (a.is_output ? a.block->input_count() : 0);
-        return base_.at(a.block) + static_cast<std::size_t>(offset);
+        return slots_[slot(a.block)].second + static_cast<std::size_t>(offset);
     }
 
 private:
-    std::unordered_map<const Block*, std::size_t> base_;
+    /// The slot holding `b`, or the empty slot where it belongs.
+    std::size_t slot(const Block* b) const {
+        const std::size_t mask = slots_.size() - 1;
+        // Fibonacci hashing: the top bits of the product mix every
+        // address bit, including the high ones that differ between blocks.
+        std::size_t i = static_cast<std::size_t>(
+            (static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(b)) *
+             0x9E3779B97F4A7C15ull) >>
+            shift_);
+        while (slots_[i].first != nullptr && slots_[i].first != b)
+            i = (i + 1) & mask;
+        return i;
+    }
+
+    std::vector<std::pair<const Block*, std::size_t>> slots_;
+    int shift_ = 0;
     std::size_t size_ = 0;
 };
 
@@ -82,12 +106,13 @@ public:
         const System& sys = *sub.system();
         const AtomIds ids(sys);
 
-        // Bit k of a set: the k-th inner Outport block is reached.
-        std::unordered_map<const Block*, std::size_t> outport_bit;
-        for (const Block* b : sys.blocks())
+        // Bit k of a set: the k-th inner Outport block is reached. Ids
+        // follow block order, so the Outports' input atoms ascend.
+        std::vector<std::size_t> outport_atoms;
+        for (const Block* b : sys.block_view())
             if (b->type() == BlockType::Outport)
-                outport_bit.emplace(b, outport_bit.size());
-        const std::size_t words = outport_bit.size() / 64 + 1;
+                outport_atoms.push_back(ids(Atom{b, 1, false}));
+        const std::size_t words = outport_atoms.size() / 64 + 1;
 
         constexpr std::size_t kNone = SIZE_MAX;
         std::vector<std::size_t> order(ids.size(), kNone);  // preorder number
@@ -122,7 +147,10 @@ public:
                     set[w] |= reached[crossed[i] * words + w];
             crossed.resize(f.crossed_base);
             if (f.atom.block->type() == BlockType::Outport && !f.atom.is_output) {
-                const std::size_t k = outport_bit.at(f.atom.block);
+                const std::size_t k = static_cast<std::size_t>(
+                    std::lower_bound(outport_atoms.begin(), outport_atoms.end(),
+                                     f.id) -
+                    outport_atoms.begin());
                 set[k / 64] |= std::uint64_t{1} << (k % 64);
             }
             std::size_t member;
@@ -167,7 +195,7 @@ public:
         // pass.
         std::vector<std::pair<int, std::size_t>> inports;  // (port, atom id)
         std::vector<int> outport_port;  // per bit; 0 when out of range
-        for (const Block* b : sys.blocks()) {
+        for (const Block* b : sys.block_view()) {
             if (b->type() != BlockType::Inport) continue;
             const int i = simulink::port_number(*b);
             if (i <= 0 || i > sub.input_count()) continue;
@@ -176,8 +204,8 @@ public:
                 if (order[ids(root)] == kNone) run(root);
                 inports.emplace_back(i, ids(root));
             }
-            if (!outport_port.empty() || outport_bit.empty()) continue;
-            for (const Block* o : sys.blocks()) {
+            if (!outport_port.empty() || outport_atoms.empty()) continue;
+            for (const Block* o : sys.block_view()) {
                 if (o->type() != BlockType::Outport) continue;
                 const int j = simulink::port_number(*o);
                 outport_port.push_back(j > 0 && j <= sub.output_count() ? j : 0);
@@ -271,7 +299,7 @@ public:
             throw std::logic_error("combinational cycle without any line edge");
         };
 
-        for (const Block* b : sys.blocks()) {
+        for (const Block* b : sys.block_view()) {
             for (int p = 1; p <= b->output_count(); ++p) {
                 const Atom root{b, p, true};
                 if (color[ids(root)] != 0) continue;
@@ -324,13 +352,15 @@ void break_cycles(System& sys, CycleAnalyzer& analyzer, DelayReport& report) {
 }
 
 void process_bottom_up(System& sys, CycleAnalyzer& analyzer, DelayReport& report) {
-    for (Block* b : sys.blocks())
+    // Only the nested systems are edited here; `sys` itself is edited
+    // after the loop.
+    for (Block* b : sys.block_view())
         if (b->system()) process_bottom_up(*b->system(), analyzer, report);
     break_cycles(sys, analyzer, report);
 }
 
 bool any_cycle(const System& sys, CycleAnalyzer& analyzer) {
-    for (const Block* b : sys.blocks())
+    for (const Block* b : sys.block_view())
         if (b->system() && any_cycle(*b->system(), analyzer)) return true;
     return analyzer.find_cycle(sys).has_value();
 }

@@ -128,21 +128,4 @@ void parallel_for_chunked(std::size_t count, std::size_t jobs,
     });
 }
 
-bool parallel_for(std::size_t count, std::size_t jobs,
-                  const std::function<void(std::size_t)>& body,
-                  diag::DiagnosticEngine& engine, std::string code) {
-    try {
-        parallel_for(count, jobs, body);
-        return true;
-    } catch (const std::exception& e) {
-        engine.report(diag::Severity::Error, std::move(code),
-                      std::string("parallel task failed: ") + e.what());
-        return false;
-    } catch (...) {
-        engine.report(diag::Severity::Error, std::move(code),
-                      "parallel task failed with a non-standard exception");
-        return false;
-    }
-}
-
 }  // namespace uhcg::core

@@ -10,8 +10,7 @@
 //    pre-sized slot i, so the outcome is identical for any job count;
 //  * exception propagation — the first failing index (lowest i) wins and
 //    its exception is rethrown on the calling thread after all workers
-//    drain; the DiagnosticEngine overload converts it into a structured
-//    `core.parallel` diagnostic instead (the PR 1 contract);
+//    drain;
 //  * no nested deadlock — a `parallel_for` issued from inside a pool
 //    worker degrades to serial execution on that worker, and the calling
 //    thread always participates, so the loop makes progress even when
@@ -23,14 +22,9 @@
 #include <deque>
 #include <functional>
 #include <future>
-#include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
-#include <type_traits>
 #include <vector>
-
-#include "diag/diag.hpp"
 
 namespace uhcg::core {
 
@@ -50,17 +44,6 @@ public:
     /// Enqueues a job; the future reports completion and rethrows anything
     /// the job threw.
     std::future<void> submit(std::function<void()> job);
-
-    /// Enqueues a value-returning task.
-    template <typename F>
-    auto async(F&& fn) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
-        using R = std::invoke_result_t<std::decay_t<F>>;
-        auto task =
-            std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-        std::future<R> result = task->get_future();
-        submit([task] { (*task)(); });
-        return result;
-    }
 
     /// The process-wide pool, created on first use and sized to the
     /// hardware. Shared by every `parallel_for` call site.
@@ -90,14 +73,6 @@ std::size_t effective_jobs(std::size_t requested);
 /// jobs <= 1, count <= 1, or already inside a pool worker.
 void parallel_for(std::size_t count, std::size_t jobs,
                   const std::function<void(std::size_t)>& body);
-
-/// As above, but an escaped exception becomes an error diagnostic carrying
-/// `code` in `engine` instead of propagating. Returns false when that
-/// happened (some indices may not have run).
-bool parallel_for(std::size_t count, std::size_t jobs,
-                  const std::function<void(std::size_t)>& body,
-                  diag::DiagnosticEngine& engine,
-                  std::string code = diag::codes::kCoreParallel);
 
 /// Default chunk size for parallel_for_chunked (0 ⇒ this value). Small
 /// enough to load-balance a few hundred items over a pool, large enough

@@ -74,8 +74,6 @@ inline constexpr const char* kMapRule = "map.rule";
 inline constexpr const char* kMapChannels = "map.channels";
 inline constexpr const char* kMapInternal = "map.internal";
 inline constexpr const char* kCaamInvalid = "caam.invalid";
-// Parallel execution layer
-inline constexpr const char* kCoreParallel = "core.parallel";
 // Design-space exploration
 inline constexpr const char* kDseMismatch = "dse.mismatch";
 inline constexpr const char* kDseEmpty = "dse.empty";

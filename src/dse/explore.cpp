@@ -5,7 +5,6 @@
 #include <cstring>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
@@ -193,13 +192,14 @@ ExploreResult explore(const uml::Model& model, const core::CommModel& comm,
                       const ExploreOptions& options,
                       diag::DiagnosticEngine*) {
     obs::ObsSpan explore_span("dse.explore");
-    const sim::Backend& backend = sim::backend_or_throw(options.backend);
-    explore_span.annotate("sim.backend", backend.name());
+    const sim::Backend kind = sim::backend_or_throw(options.backend);
+    const std::string_view backend = sim::backend_name(kind);
+    explore_span.annotate("sim.backend", backend);
     taskgraph::TaskGraph graph = core::build_task_graph(model, comm);
     const std::size_t n = graph.task_count();
 
     ExploreResult result;
-    result.stats.backend = std::string(backend.name());
+    result.stats.backend = std::string(backend);
     if (n == 0) return result;
     const std::size_t max_cpus = options.max_processors == 0
                                      ? n
@@ -263,19 +263,17 @@ ExploreResult explore(const uml::Model& model, const core::CommModel& comm,
         (void)it;
     }
 
-    // 4. Compile the graph on the requested backend (the per-(graph,
-    //    params) precomputation, shared read-only by every worker), probe
-    //    the memo cache per unique clustering, then fan the surviving
-    //    evaluations out across the pool in *chunks*: each chunk mints one
-    //    BackendEvaluator (schedule-prefix reuse between consecutive
+    // 4. Precompute the graph's prices (the per-(graph, params) MpsocPrep,
+    //    shared read-only by every worker), probe the memo cache per unique
+    //    clustering, then fan the surviving evaluations out across the
+    //    pool in *chunks*: each chunk prices with one MpsocBatch of the
+    //    requested backend (schedule-prefix reuse between consecutive
     //    candidates), so a pool task amortizes dispatch over `chunk`
     //    candidates.
-    std::unique_ptr<sim::CompiledModel> compiled =
-        backend.compile(graph, options.cost_model);
+    const sim::MpsocPrep prep(graph, options.cost_model);
     const std::uint64_t graph_fp = graph_fingerprint(graph);
     const std::uint64_t params_fp = params_fingerprint(options.cost_model);
-    const std::uint64_t backend_fp =
-        core::fnv1a(backend.name(), core::kDseFnvOffset);
+    const std::uint64_t backend_fp = core::fnv1a(backend, core::kDseFnvOffset);
     std::vector<sim::MpsocResult> unique_results(unique_index.size());
     std::vector<std::size_t> to_simulate;
     to_simulate.reserve(unique_index.size());
@@ -307,20 +305,19 @@ ExploreResult explore(const uml::Model& model, const core::CommModel& comm,
     std::vector<sim::BatchStats> chunk_stats(num_chunks);
     {
         obs::ObsSpan span("dse.simulate-sweep");
-        span.annotate("sim.backend", backend.name());
+        span.annotate("sim.backend", backend);
         core::parallel_for_chunked(
             sim_order.size(), jobs, chunk,
             [&](std::size_t begin, std::size_t end) {
                 obs::ObsSpan chunk_span("sim.mpsoc-batch");
-                chunk_span.annotate("sim.backend", backend.name());
-                std::unique_ptr<sim::BackendEvaluator> evaluator =
-                    compiled->evaluator();
+                chunk_span.annotate("sim.backend", backend);
+                sim::MpsocBatch batch(prep, kind);
                 for (std::size_t t = begin; t < end; ++t) {
                     std::size_t slot = sim_order[t];
                     unique_results[slot] =
-                        evaluator->evaluate(clusterings[unique_index[slot]]);
+                        batch.evaluate(clusterings[unique_index[slot]]);
                 }
-                chunk_stats[begin / chunk] = evaluator->stats();
+                chunk_stats[begin / chunk] = batch.stats();
             });
     }
     for (std::size_t slot : to_simulate)
@@ -329,14 +326,13 @@ ExploreResult explore(const uml::Model& model, const core::CommModel& comm,
                        unique_results[slot]);
 
     // Optional oracle check: re-price every unique clustering on a fresh,
-    // chain-free evaluator of the same compiled model and require bitwise
-    // equality on every metric.
+    // chain-free evaluator of the same prep and require bitwise equality on
+    // every metric.
     if (options.verify_full) {
         obs::ObsSpan span("dse.verify-full");
         core::parallel_for(unique_index.size(), jobs, [&](std::size_t slot) {
-            sim::MpsocResult fresh =
-                compiled->evaluator()->evaluate(
-                    clusterings[unique_index[slot]]);
+            sim::MpsocResult fresh = sim::MpsocBatch(prep, kind).evaluate(
+                clusterings[unique_index[slot]]);
             const sim::MpsocResult& inc = unique_results[slot];
             bool same = fresh.makespan == inc.makespan &&
                         fresh.bus_busy == inc.bus_busy &&

@@ -72,7 +72,7 @@ struct ExploreOptions {
     /// divergence (the --dse-verify-full mode).
     bool verify_full = false;
     /// Simulation backend pricing the sweep (sim/backend.hpp); empty =
-    /// sim::kDefaultBackend. Unknown names throw std::invalid_argument.
+    /// dynamic-fifo. Unknown names throw std::invalid_argument.
     std::string backend;
     sim::MpsocParams cost_model;
 };
@@ -113,7 +113,7 @@ struct ExploreResult {
 /// sequence diagrams; every *unique* candidate is estimated on the cost
 /// model (duplicates and cache hits are free — see ExploreStats). An
 /// unknown `options.backend` throws std::invalid_argument listing the
-/// registered backends. Nothing is reported into `engine`; the parameter
+/// known backends. Nothing is reported into `engine`; the parameter
 /// stays for existing callers.
 ExploreResult explore(const uml::Model& model, const core::CommModel& comm,
                       const ExploreOptions& options = {},

@@ -60,7 +60,7 @@ struct GenerateOptions {
     /// fingerprint: a serial run may resume a parallel one and vice versa.
     std::size_t gen_jobs = 1;
     /// Simulation backend for the advisory sim.estimate pass; empty =
-    /// sim::kDefaultBackend.
+    /// dynamic-fifo.
     std::string sim_backend;
     ResilienceOptions resilience;
 };

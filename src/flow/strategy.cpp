@@ -29,8 +29,8 @@ struct SharedCaamRef {
     const SharedCaam* shared = nullptr;
 };
 
-/// What a caam-family row renders from the shared CAAM: its files, each
-/// named by the suffix that follows the model's base name.
+/// What a caam-family row renders from the shared CAAM: its files, named
+/// as they land in the output tree.
 struct CaamText {
     std::vector<GeneratedFile> files;
 };
@@ -154,16 +154,20 @@ void register_estimate_pass(PassManager& pm, std::string backend,
 
 // --- the caam family: one emitter, three renderings -------------------------
 
+/// Renders the shared CAAM into files named after `base`, the model's
+/// sanitized name.
 using CaamRender = std::vector<GeneratedFile> (*)(const simulink::Model& caam,
+                                                  const std::string& base,
                                                   PassContext& ctx);
 
 /// The one caam-family emitter: pass `pass` renders the shared CAAM with
 /// `render`; its output carries the row's own artifact name in the trace.
-void add_caam_emit(PassManager& pm, const char* pass, const char* artifact,
-                   CaamRender render) {
-    Pass emit(pass, [render](PassContext& ctx) {
+void add_caam_emit(PassManager& pm, const StrategyContext& context,
+                   const char* pass, const char* artifact, CaamRender render) {
+    Pass emit(pass, [render, base = transform::sanitize_identifier(
+                                 context.model->name())](PassContext& ctx) {
         const SharedCaam& shared = *ctx.in<SharedCaamRef>().shared;
-        ctx.out(CaamText{render(shared.caam, ctx)});
+        ctx.out(CaamText{render(shared.caam, base, ctx)});
     });
     emit.reads<SharedCaamRef>();
     emit.outputs.push_back({typeid(CaamText), artifact});
@@ -172,21 +176,24 @@ void add_caam_emit(PassManager& pm, const char* pass, const char* artifact,
 
 /// Step 4: the .mdl text.
 std::vector<GeneratedFile> render_mdl(const simulink::Model& caam,
+                                      const std::string& base,
                                       PassContext& ctx) {
     std::string mdl = simulink::write_mdl(caam);
     ctx.count("bytes", mdl.size());
-    return {{".mdl", std::move(mdl)}};
+    return {{base + ".mdl", std::move(mdl)}};
 }
 
 /// The multithread software-generation step: a per-CPU C99 program.
 std::vector<GeneratedFile> render_c(const simulink::Model& caam,
+                                    const std::string& base,
                                     PassContext& ctx) {
-    codegen::GeneratedProgram program = codegen::generate_c_program(caam);
+    codegen::GeneratedProgram program =
+        codegen::generate_c_program(caam, base + "_");
     std::vector<GeneratedFile> files;
     std::size_t bytes = 0;
     for (auto& [name, contents] : program.files) {
         bytes += contents.size();
-        files.push_back({"_" + name, std::move(contents)});
+        files.push_back({name, std::move(contents)});
     }
     ctx.count("files", files.size());
     ctx.count("channels", program.channel_count);
@@ -197,19 +204,16 @@ std::vector<GeneratedFile> render_c(const simulink::Model& caam,
 
 /// The Graphviz block diagram.
 std::vector<GeneratedFile> render_dot(const simulink::Model& caam,
+                                      const std::string& base,
                                       PassContext& ctx) {
     std::string dot = simulink::to_dot(caam);
     ctx.count("bytes", dot.size());
-    return {{"_caam.dot", std::move(dot)}};
+    return {{base + "_caam.dot", std::move(dot)}};
 }
 
-std::vector<GeneratedFile> caam_files(ArtifactStore& store,
-                                      const std::string& base) {
-    std::vector<GeneratedFile> files;
-    if (CaamText* text = store.get<CaamText>())
-        for (GeneratedFile& f : text->files)
-            files.push_back({base + f.name, std::move(f.contents)});
-    return files;
+std::vector<GeneratedFile> caam_files(ArtifactStore& store, const std::string&) {
+    if (CaamText* text = store.get<CaamText>()) return std::move(text->files);
+    return {};
 }
 
 // --- fsm-c: UML state machine → flat FSM → C header + source ----------------
@@ -357,24 +361,27 @@ constexpr Branch kBranches[] = {
     {.name = "simulink-caam",
      .reads_shared_caam = true,
      .add_passes =
-         [](PassManager& pm, const StrategyContext&) {
-             add_caam_emit(pm, "simulink.emit", "simulink.mdl", render_mdl);
+         [](PassManager& pm, const StrategyContext& context) {
+             add_caam_emit(pm, context, "simulink.emit", "simulink.mdl",
+                           render_mdl);
          },
      .files = caam_files},
     {.name = "caam-c",
      .reads_shared_caam = true,
      .enabled_by = &GenerateOptions::caam_c,
      .add_passes =
-         [](PassManager& pm, const StrategyContext&) {
-             add_caam_emit(pm, "caam.emit-c", "caam.c-program", render_c);
+         [](PassManager& pm, const StrategyContext& context) {
+             add_caam_emit(pm, context, "caam.emit-c", "caam.c-program",
+                           render_c);
          },
      .files = caam_files},
     {.name = "caam-dot",
      .reads_shared_caam = true,
      .enabled_by = &GenerateOptions::caam_dot,
      .add_passes =
-         [](PassManager& pm, const StrategyContext&) {
-             add_caam_emit(pm, "caam.emit-dot", "caam.dot", render_dot);
+         [](PassManager& pm, const StrategyContext& context) {
+             add_caam_emit(pm, context, "caam.emit-dot", "caam.dot",
+                           render_dot);
          },
      .files = caam_files},
     {.name = "fsm-c",

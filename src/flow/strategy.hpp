@@ -67,7 +67,7 @@ struct StrategyContext {
     /// (sim.schedulability); 0 keeps the probe build-only.
     std::size_t sim_steps = 0;
     /// Simulation backend for the advisory cost-estimate pass
-    /// (sim.estimate); empty = sim::kDefaultBackend.
+    /// (sim.estimate); empty = dynamic-fifo.
     std::string sim_backend;
     /// Shared mapping owned by the dispatcher: a required input of the
     /// caam-family rows, null for every other row.

@@ -566,18 +566,18 @@ std::string Engine::dispatch(const std::string& id, const std::string& method,
     std::size_t max_processors =
         param_count<std::size_t>(doc, "max_processors", 0);
     std::string backend = param_string(doc, "backend");
-    const sim::Backend* pricing = sim::find_backend(backend);
-    if (!pricing)
+    const std::optional<sim::Backend> kind = sim::find_backend(backend);
+    if (!kind)
         return error_response(id, "serve.bad-request",
                               sim::unknown_backend_message(backend));
     sim::MpsocResult sim_result;
     try {
         taskgraph::TaskGraph graph =
             core::build_task_graph(resident->model, resident->comm);
-        taskgraph::Clustering clustering = core::auto_clustering(
-            resident->model, resident->comm, max_processors);
+        taskgraph::Clustering clustering =
+            core::auto_clustering(graph, max_processors);
         sim_result =
-            pricing->compile(graph, params)->evaluator()->evaluate(clustering);
+            sim::simulate_backend(graph, clustering, params, backend);
     } catch (const std::exception& e) {
         // A model the simulator cannot schedule (e.g. a feedback cycle in
         // the task graph) is an input property, not an internal error —
@@ -593,7 +593,7 @@ std::string Engine::dispatch(const std::string& id, const std::string& method,
       << ",\"intra_traffic\":" << number_text(sim_result.intra_traffic)
       << ",\"bus_transfers\":" << sim_result.bus_transfers
       << ",\"processors\":" << sim_result.cpu_busy.size()
-      << ",\"backend\":" << quote(pricing->name()) << "}";
+      << ",\"backend\":" << quote(sim::backend_name(*kind)) << "}";
     return finish(ok_head(cache_state, resident->hash), r.str());
 }
 

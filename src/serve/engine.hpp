@@ -15,6 +15,10 @@
 //     "model_hash": "<hex key from a previous response>",
 //     "params": { ... method-specific, see DESIGN.md §12 } }
 //
+// explore and simulate price on the `backend` param: "dynamic-fifo" (the
+// default, also for "") or "analytic" (sim/backend.hpp); any other name
+// answers `serve.bad-request` with sim::unknown_backend_message.
+//
 // Response schema:
 //   { "schema": "uhcg-serve-v1", "id": ..., "ok": true|false,
 //     "method": "...", "model_hash": "...", "cache": "hit|miss",

@@ -30,9 +30,11 @@ MpsocPrep::MpsocPrep(const TaskGraph& graph, const MpsocParams& params)
     }
 }
 
-MpsocResult CanonicalClustering::aggregate(const MpsocPrep& prep,
-                                           const Clustering& clustering) {
-    const TaskGraph& graph = prep.graph();
+MpsocBatch::MpsocBatch(const MpsocPrep& prep, Backend kind)
+    : prep_(prep), kind_(kind) {}
+
+MpsocResult MpsocBatch::aggregate(const Clustering& clustering) {
+    const TaskGraph& graph = *prep_.graph_;
     const std::size_t n = graph.task_count();
     if (n != clustering.task_count())
         throw std::invalid_argument("clustering does not match graph size");
@@ -55,14 +57,14 @@ MpsocResult CanonicalClustering::aggregate(const MpsocPrep& prep,
     cut_edges_.assign(clusters, 0);
     for (TaskIndex t = 0; t < n; ++t) {
         const auto c = static_cast<std::size_t>(canon_[t]);
-        result.cpu_busy[c] += prep.work()[t];
+        result.cpu_busy[c] += prep_.work_[t];
         for (std::size_t e : graph.out_edges(t)) {
             const Edge& edge = graph.edge(e);
             if (canon_[edge.to] == canon_[t]) {
                 internal_cost_[c] += edge.cost;
             } else {
                 cut_cost_[c] += edge.cost;
-                cut_bus_[c] += prep.bus_duration()[e];
+                cut_bus_[c] += prep_.bus_duration_[e];
                 ++cut_edges_[c];
             }
         }
@@ -78,16 +80,45 @@ MpsocResult CanonicalClustering::aggregate(const MpsocPrep& prep,
     return result;
 }
 
-MpsocBatch::MpsocBatch(const MpsocPrep& prep) : prep_(prep) {}
+// A deterministic lower bound combining the three classic limits: the
+// dependency critical path (with the clustering's SWFIFO/GFIFO delays but
+// no bus serialization), the busiest CPU, and total shared-bus occupancy.
+MpsocResult MpsocBatch::analytic_bound(const Clustering& clustering) {
+    static obs::Counter& evals = obs::counter("sim.analytic_evals");
+    evals.add(1);
+    const TaskGraph& graph = *prep_.graph_;
+    MpsocResult result = aggregate(clustering);
+
+    // Path bound: earliest finish ignoring CPU and bus contention.
+    finish_.assign(graph.task_count(), 0.0);
+    for (TaskIndex t : prep_.topo_) {
+        double ready = 0.0;
+        for (std::size_t e : graph.in_edges(t)) {
+            const Edge& edge = graph.edge(e);
+            double delay = canon_[edge.from] == canon_[t]
+                               ? prep_.sw_delay_[e]
+                               : prep_.bus_duration_[e];
+            ready = std::max(ready, finish_[edge.from] + delay);
+        }
+        finish_[t] = ready + prep_.work_[t];
+    }
+    double path = 0.0;
+    for (double f : finish_) path = std::max(path, f);
+    double busiest = 0.0;
+    for (double w : result.cpu_busy) busiest = std::max(busiest, w);
+    result.makespan = std::max(path, busiest);
+    if (prep_.params_.shared_bus)
+        result.makespan = std::max(result.makespan, result.bus_busy);
+    return result;
+}
 
 std::size_t MpsocBatch::resume_position() const {
-    const std::vector<int>& canon = current_.labels();
-    if (!has_prev_ || canon_prev_.size() != canon.size()) return 0;
+    if (!has_prev_ || canon_prev_.size() != canon_.size()) return 0;
     const TaskGraph& graph = *prep_.graph_;
-    const std::size_t n = canon.size();
+    const std::size_t n = canon_.size();
     std::size_t start = n;
     for (TaskIndex t = 0; t < n; ++t) {
-        if (canon_prev_[t] == canon[t]) continue;
+        if (canon_prev_[t] == canon_[t]) continue;
         // A changed task invalidates its own position *and* every producer
         // position feeding it: an in-edge is priced when the producer runs,
         // and that price reads the consumer's cluster.
@@ -99,12 +130,12 @@ std::size_t MpsocBatch::resume_position() const {
 }
 
 MpsocResult MpsocBatch::evaluate(const Clustering& clustering) {
+    if (kind_ == Backend::Analytic) return analytic_bound(clustering);
     static obs::Counter& runs = obs::counter("sim.mpsoc_runs");
     runs.add(1);
     const TaskGraph& graph = *prep_.graph_;
     const std::size_t n = graph.task_count();
-    MpsocResult result = current_.aggregate(prep_, clustering);
-    const std::vector<int>& canon = current_.labels();
+    MpsocResult result = aggregate(clustering);
     ++stats_.evaluated;
 
     // 4. Timed scan with prefix resume. Every quantity at topological
@@ -117,15 +148,15 @@ MpsocResult MpsocBatch::evaluate(const Clustering& clustering) {
     finish_.resize(n);
     edge_arrival_.resize(graph.edge_count());
     bus_free_at_.resize(n);
-    cpu_free_.assign(static_cast<std::size_t>(current_.clusters()), 0.0);
+    cpu_free_.assign(static_cast<std::size_t>(clusters_), 0.0);
     for (std::size_t q = 0; q < start; ++q) {
         TaskIndex t = prep_.topo_[q];
-        cpu_free_[static_cast<std::size_t>(canon[t])] = finish_[t];
+        cpu_free_[static_cast<std::size_t>(canon_[t])] = finish_[t];
     }
     double bus_free = start > 0 ? bus_free_at_[start - 1] : 0.0;
     for (std::size_t q = start; q < n; ++q) {
         TaskIndex t = prep_.topo_[q];
-        int c = canon[t];
+        int c = canon_[t];
         double ready = cpu_free_[static_cast<std::size_t>(c)];
         for (std::size_t e : graph.in_edges(t))
             ready = std::max(ready, edge_arrival_[e]);
@@ -133,7 +164,7 @@ MpsocResult MpsocBatch::evaluate(const Clustering& clustering) {
         cpu_free_[static_cast<std::size_t>(c)] = finish_[t];
         for (std::size_t e : graph.out_edges(t)) {
             const Edge& edge = graph.edge(e);
-            if (canon[edge.to] == c) {
+            if (canon_[edge.to] == c) {
                 edge_arrival_[e] = finish_[t] + prep_.sw_delay_[e];
             } else {
                 double duration = prep_.bus_duration_[e];
@@ -150,7 +181,7 @@ MpsocResult MpsocBatch::evaluate(const Clustering& clustering) {
     for (TaskIndex t = 0; t < n; ++t)
         result.makespan = std::max(result.makespan, finish_[t]);
 
-    current_.swap_labels(canon_prev_);
+    canon_.swap(canon_prev_);
     has_prev_ = true;
     return result;
 }

@@ -12,6 +12,7 @@
 #include "codegen/caam_to_c.hpp"
 #include "codegen/uml_to_cpp.hpp"
 #include "core/pipeline.hpp"
+#include "flow/generate.hpp"
 #include "fsm/codegen.hpp"
 #include "fsm/from_uml.hpp"
 #include "fsm/interpret.hpp"
@@ -49,6 +50,30 @@ std::string slurp(const fs::path& path) {
     std::ostringstream buf;
     buf << in.rdbuf();
     return buf.str();
+}
+
+/// Writes the caam-c files of a `flow::generate` run of `model` into a
+/// fresh directory, builds them as written and runs the program.
+void expect_generated_c_builds_and_runs(const uml::Model& model,
+                                        const std::string& dir_name) {
+    fs::path dir = fresh_dir(dir_name);
+    diag::DiagnosticEngine engine;
+    flow::GenerateResult result =
+        flow::generate(model, flow::GenerateOptions{}, engine);
+    std::size_t written = 0;
+    for (const flow::StrategyResult& sr : result.results) {
+        if (sr.strategy != "caam-c") continue;
+        for (const flow::GeneratedFile& f : sr.files) {
+            std::ofstream(dir / f.name) << f.contents;
+            ++written;
+        }
+    }
+    ASSERT_GT(written, 0u) << "no caam-c files generated";
+    ASSERT_EQ(run_in(dir, "cc -std=c99 -Wall -Werror -o app *_main.c "
+                          "*_sfunctions.c *_cpu_*.c > cc.log 2>&1"),
+              0)
+        << slurp(dir / "cc.log");
+    EXPECT_EQ(run_in(dir, "timeout 20 ./app > /dev/null"), 0);
 }
 
 TEST(Artifacts, CraneCProgramCompilesRunsAndTracksTheEngine) {
@@ -94,6 +119,9 @@ TEST(Artifacts, CraneCProgramCompilesRunsAndTracksTheEngine) {
     // delay latches once per global loop vs per-step in the engine).
     EXPECT_NEAR(last, reference, 0.05);
     EXPECT_NEAR(last, 1.0, 0.1);  // and both approach the setpoint
+
+    // The same program as `uhcg generate` writes it, under prefixed names.
+    expect_generated_c_builds_and_runs(cases::crane_model(), "uhcg_crane_gen");
 }
 
 TEST(Artifacts, SyntheticCProgramCompilesCleanly) {
@@ -108,6 +136,8 @@ TEST(Artifacts, SyntheticCProgramCompilesCleanly) {
               0)
         << slurp(dir / "cc.log");
     EXPECT_EQ(run_in(dir, "./syn > /dev/null"), 0);
+
+    expect_generated_c_builds_and_runs(cases::synthetic_model(), "uhcg_syn_gen");
 }
 
 TEST(Artifacts, ThreadProgramCompilesAndTerminates) {

@@ -135,6 +135,9 @@ TEST_F(Campaign, ManifestRejectsBadInputsWithStructuredErrors) {
             "strategies": ["mystery"]})",
         R"({"schema": "uhcg-campaign-v1", "models": "a",
             "backends": ["warp-drive"]})",
+        // Only a front end's empty selector means the default backend; a
+        // manifest spells every backend out.
+        R"({"schema": "uhcg-campaign-v1", "models": "a", "backends": [""]})",
         R"({"schema": "uhcg-campaign-v1", "models": "a",
             "cost_models": [{"unknown_knob": 1}]})",
     };
@@ -180,7 +183,7 @@ TEST_F(Campaign, ManifestCountsMustBeIntegralAndInRange) {
 
 TEST_F(Campaign, ManifestRejectsRemovedSdfBackend) {
     // The static-schedule backend is gone with no alias: a manifest naming
-    // it fails validation with the registry's unknown-backend text.
+    // it fails validation with the shared unknown-backend text.
     diag::DiagnosticEngine engine;
     campaign::parse_manifest(R"({"schema": "uhcg-campaign-v1",
         "models": "a", "backends": ["sdf"]})", engine);

@@ -599,47 +599,47 @@ fsm-c:control:Elevator fsm.emit-c [fsm.machine] -> [fsm.c] {bytes}
         {"Elevator_fsm.h", "452bd5e170d3ca3a"},
         {"corpus_0.mdl", "1430fd0ecb3626a3"},
         {"corpus_0_caam.dot", "3ced85f5429b6357"},
-        {"corpus_0_cpu_CPU0.c", "1c4e98debcdd8210"},
-        {"corpus_0_cpu_CPU1.c", "58c22fd63d7b6bfb"},
-        {"corpus_0_cpu_CPU10.c", "da5988878fcb8405"},
-        {"corpus_0_cpu_CPU2.c", "075e7699cabf2921"},
-        {"corpus_0_cpu_CPU3.c", "654a75fd07543d18"},
-        {"corpus_0_cpu_CPU4.c", "473d013f8ab76f0c"},
-        {"corpus_0_cpu_CPU5.c", "cfd9fb62462cd8aa"},
-        {"corpus_0_cpu_CPU6.c", "fa93123a0e06c2c5"},
-        {"corpus_0_cpu_CPU7.c", "1acfc949609df4d3"},
-        {"corpus_0_cpu_CPU8.c", "7863f4103cf255d6"},
-        {"corpus_0_cpu_CPU9.c", "bb80c3a98a6fb272"},
-        {"corpus_0_main.c", "0bb108223c024e25"},
-        {"corpus_0_sfunctions.c", "c45c52358ac7b095"},
+        {"corpus_0_cpu_CPU0.c", "b63c26e5d9d2c4ce"},
+        {"corpus_0_cpu_CPU1.c", "1451ccf806caa439"},
+        {"corpus_0_cpu_CPU10.c", "fe5db0dbe588094f"},
+        {"corpus_0_cpu_CPU2.c", "cf194622ae0a36d7"},
+        {"corpus_0_cpu_CPU3.c", "26cfe189780b9c0a"},
+        {"corpus_0_cpu_CPU4.c", "918bcd04937d7396"},
+        {"corpus_0_cpu_CPU5.c", "8a20462c85a04010"},
+        {"corpus_0_cpu_CPU6.c", "10bf38afa1cf699b"},
+        {"corpus_0_cpu_CPU7.c", "0e770096b2c922e5"},
+        {"corpus_0_cpu_CPU8.c", "37d0d3541de2b5ac"},
+        {"corpus_0_cpu_CPU9.c", "06f37be80c9a1f14"},
+        {"corpus_0_main.c", "ed370c07f318536f"},
+        {"corpus_0_sfunctions.c", "caa237643d08d729"},
         {"corpus_0_sfunctions.h", "d644173295dea068"},
         {"corpus_0_threads.cpp", "7fe9207d13cb2205"},
         {"corpus_0_uhcg_rt.h", "51609aded7d6325a"},
         {"crane.mdl", "70b429672d31cc3b"},
         {"crane_caam.dot", "cf81d8d42e840f52"},
-        {"crane_cpu_CPU1.c", "1c2d391e64285628"},
+        {"crane_cpu_CPU1.c", "64058dd3aea38b24"},
         {"crane_kpn.txt", "4de702eeca1301a0"},
-        {"crane_main.c", "d8b0c36cd021c4d2"},
-        {"crane_sfunctions.c", "bf48ebf156dea7c0"},
+        {"crane_main.c", "046c10051a83a49c"},
+        {"crane_sfunctions.c", "768e11e11b175c52"},
         {"crane_sfunctions.h", "0fba3e2bf6bd0e65"},
         {"crane_threads.cpp", "f7cd3e12c6d68e0b"},
         {"crane_uhcg_rt.h", "51609aded7d6325a"},
         {"didactic.mdl", "2e2ed5f111227e2f"},
         {"didactic_caam.dot", "490c46f0e0ad5ecc"},
-        {"didactic_cpu_CPU1.c", "75b91c022db09d2f"},
-        {"didactic_cpu_CPU2.c", "835ce272f373f875"},
+        {"didactic_cpu_CPU1.c", "688d01f0c52d4eb3"},
+        {"didactic_cpu_CPU2.c", "911fbd372a1919b3"},
         {"didactic_kpn.txt", "612b6c94e7f8158d"},
-        {"didactic_main.c", "9fe5ece8adda677a"},
-        {"didactic_sfunctions.c", "d11701510d062a84"},
+        {"didactic_main.c", "1666da1228fa9238"},
+        {"didactic_sfunctions.c", "ade08cc72fb17360"},
         {"didactic_sfunctions.h", "3400034101280ff2"},
         {"didactic_threads.cpp", "8d9c6d293efcefa9"},
         {"didactic_uhcg_rt.h", "51609aded7d6325a"},
         {"mixed.mdl", "8bf9045cfc8a5ea3"},
         {"mixed_caam.dot", "f300a2d3874afa38"},
-        {"mixed_cpu_CPU1.c", "1c2d391e64285628"},
+        {"mixed_cpu_CPU1.c", "064878c99500c124"},
         {"mixed_kpn.txt", "441f3543ca8ecefa"},
-        {"mixed_main.c", "d8b0c36cd021c4d2"},
-        {"mixed_sfunctions.c", "bf48ebf156dea7c0"},
+        {"mixed_main.c", "ef15daea6d18f34e"},
+        {"mixed_sfunctions.c", "86263f6f2dac0338"},
         {"mixed_sfunctions.h", "0fba3e2bf6bd0e65"},
         {"mixed_threads.cpp", "fdebe9d5e374b41d"},
         {"mixed_uhcg_rt.h", "51609aded7d6325a"},

@@ -19,6 +19,7 @@
 #include "cases/cases.hpp"
 #include "dse/explore.hpp"
 #include "obs/json.hpp"
+#include "obs/obs.hpp"
 #include "serve/cache.hpp"
 #include "serve/engine.hpp"
 #include "serve/frame.hpp"
@@ -236,6 +237,25 @@ TEST(ServeEngine, SecondRequestForSameModelIsAWarmHit) {
     EXPECT_GE(stats.hits, 1u);
 }
 
+TEST(ServeEngine, SimulateMinesTheTaskGraphOnce) {
+    // The auto mapping is clustered over the same task graph the estimate
+    // prices, so one simulate request builds exactly one graph.
+    serve::Engine engine{serve::EngineOptions{}};
+    std::shared_ptr<const serve::ResidentModel> resident;
+    {
+        diag::DiagnosticEngine diagnostics;
+        resident = engine.cache().admit(didactic_xmi(), diagnostics);
+        ASSERT_TRUE(resident);
+    }
+    obs::Counter& graphs = obs::counter("taskgraph.graphs_built");
+    const std::uint64_t before = graphs.value();
+    std::string response =
+        engine.handle("{\"method\":\"simulate\",\"id\":1,\"model_hash\":\"" +
+                      resident->hash + "\"}");
+    ASSERT_TRUE(response_ok(response)) << response;
+    EXPECT_EQ(graphs.value() - before, 1u);
+}
+
 TEST(ServeEngine, ModelHashFromOneMethodServesAnother) {
     serve::Engine engine{serve::EngineOptions{}};
     std::shared_ptr<const serve::ResidentModel> resident;
@@ -297,7 +317,7 @@ TEST(ServeEngine, ExploreReportsIncrementalReuseAndStatusRollsItUp) {
 
 TEST(ServeEngine, UnknownBackendListsExactlyTheRegisteredNames) {
     // "sdf" names the removed static-schedule backend: explore and
-    // simulate reject it like any unknown name, with the registry's text.
+    // simulate reject it like any unknown name, with the shared text.
     serve::Engine engine{serve::EngineOptions{}};
     std::shared_ptr<const serve::ResidentModel> resident;
     {

@@ -2,6 +2,7 @@
 // flattening, deadlock detection) and the MPSoC cost simulator.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "sim/backend.hpp"
@@ -419,18 +420,18 @@ TEST(MpsocBatch, MismatchedClusteringRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// Pluggable simulation backends (sim/backend.hpp).
+// The two simulation backends (sim/backend.hpp).
 
-TEST(SimBackend, RegistryListsBuiltinsInOrder) {
-    const BackendRegistry& registry = BackendRegistry::builtins();
-    ASSERT_EQ(registry.backends().size(), 2u);
-    EXPECT_EQ(registry.backends()[0]->name(), "dynamic-fifo");
-    EXPECT_EQ(registry.backends()[1]->name(), "analytic");
-    EXPECT_EQ(&backend_or_throw(""), registry.backends()[0].get());
-    EXPECT_EQ(find_backend("no-such-engine"), nullptr);
+TEST(SimBackend, NamesListBuiltinsInOrder) {
+    EXPECT_EQ(backend_name(Backend::DynamicFifo), "dynamic-fifo");
+    EXPECT_EQ(backend_name(Backend::Analytic), "analytic");
+    EXPECT_EQ(find_backend("dynamic-fifo"), Backend::DynamicFifo);
+    EXPECT_EQ(find_backend("analytic"), Backend::Analytic);
+    EXPECT_EQ(backend_or_throw(""), Backend::DynamicFifo);
+    EXPECT_EQ(find_backend("no-such-engine"), std::nullopt);
     EXPECT_THROW(backend_or_throw("no-such-engine"), std::invalid_argument);
     // The removed static-schedule backend has no alias.
-    EXPECT_EQ(find_backend("sdf"), nullptr);
+    EXPECT_EQ(find_backend("sdf"), std::nullopt);
     EXPECT_EQ(unknown_backend_message("sdf"),
               "unknown simulation backend 'sdf' (known: dynamic-fifo, "
               "analytic)");
@@ -441,27 +442,28 @@ TEST(SimBackend, PrefixResumeStaysBitwiseOnNeighborChain) {
     // prefix-resume layer must engage (reused positions > 0) without ever
     // diverging from the history-free one-shot oracle.
     taskgraph::TaskGraph g = taskgraph::chain_graph(8, 1.5, 3.0);
-    auto compiled = backend_or_throw("dynamic-fifo").compile(g, MpsocParams{});
-    auto evaluator = compiled->evaluator();
+    MpsocPrep prep(g, MpsocParams{});
+    MpsocBatch evaluator(prep, backend_or_throw("dynamic-fifo"));
     std::vector<int> assign(8, 0);
     for (std::size_t t = 4; t < 8; ++t) assign[t] = 1;
     for (std::size_t move = 7; move >= 5; --move) {
         taskgraph::Clustering c = taskgraph::Clustering::from_assignment(assign);
-        expect_same_result(evaluator->evaluate(c), simulate_mpsoc(g, c));
+        expect_same_result(evaluator.evaluate(c), simulate_mpsoc(g, c));
         assign[move] = 0;
     }
-    EXPECT_GT(evaluator->stats().prefix_tasks_reused, 0u);
+    EXPECT_GT(evaluator.stats().prefix_tasks_reused, 0u);
     // break_chain() forgets history but not correctness.
-    evaluator->break_chain();
+    evaluator.break_chain();
     taskgraph::Clustering c = taskgraph::Clustering::from_assignment(assign);
-    expect_same_result(evaluator->evaluate(c), simulate_mpsoc(g, c));
+    expect_same_result(evaluator.evaluate(c), simulate_mpsoc(g, c));
 }
 
 TEST(SimBackend, AnalyticIsDeterministicLowerBound) {
     taskgraph::TaskGraph g = taskgraph::fork_join_graph(4, 2, 3.0, 8.0);
-    auto compiled = backend_or_throw("analytic").compile(g, MpsocParams{});
+    MpsocPrep prep(g, MpsocParams{});
     taskgraph::Clustering linear = taskgraph::linear_clustering(g);
-    MpsocResult bound = compiled->evaluator()->evaluate(linear);
+    MpsocBatch analytic(prep, backend_or_throw("analytic"));
+    MpsocResult bound = analytic.evaluate(linear);
     MpsocResult reference = simulate_mpsoc(g, linear);
     EXPECT_LE(bound.makespan, reference.makespan);
     EXPECT_GT(bound.makespan, 0.0);
@@ -469,8 +471,13 @@ TEST(SimBackend, AnalyticIsDeterministicLowerBound) {
     EXPECT_EQ(bound.inter_traffic, reference.inter_traffic);
     EXPECT_EQ(bound.bus_busy, reference.bus_busy);
     EXPECT_EQ(bound.cpu_busy, reference.cpu_busy);
-    // Deterministic: the same candidate prices identically every time.
-    EXPECT_EQ(compiled->evaluator()->evaluate(linear).makespan, bound.makespan);
+    // Deterministic: the same candidate prices identically every time, on
+    // a fresh evaluator and on the one that priced it before.
+    EXPECT_EQ(MpsocBatch(prep, Backend::Analytic).evaluate(linear).makespan,
+              bound.makespan);
+    EXPECT_EQ(analytic.evaluate(linear).makespan, bound.makespan);
+    // No reuse layer: the bound never reports replayed positions.
+    EXPECT_EQ(analytic.stats().prefix_tasks_reused, 0u);
 }
 
 TEST(SimBackend, SimulateBackendConvenienceMatchesOneShot) {
@@ -485,6 +492,9 @@ TEST(SimBackend, SimulateBackendConvenienceMatchesOneShot) {
                  std::invalid_argument);
     EXPECT_THROW(simulate_backend(g, linear, MpsocParams{}, "sdf"),
                  std::invalid_argument);
+    MpsocPrep prep(g, MpsocParams{});
+    expect_same_result(simulate_backend(g, linear, MpsocParams{}, "analytic"),
+                       MpsocBatch(prep, Backend::Analytic).evaluate(linear));
 }
 
 }  // namespace

@@ -704,7 +704,7 @@ int cmd_dot(const uml::Model& model, const Cli& cli,
     std::string taskgraph_dot;
     if (graph.is_acyclic()) {
         taskgraph_dot = taskgraph::to_dot(
-            graph, core::auto_clustering(model, comm), options);
+            graph, core::auto_clustering(graph), options);
     } else {
         engine.warning(diag::codes::kDseModel,
                        "task graph of model '" + model.name() +
